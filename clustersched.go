@@ -276,21 +276,6 @@ func WithWarmStart(on bool) Option {
 	return func(po *pipeline.Options) { po.DisableWarmStart = !on }
 }
 
-// WithSpeculation configures the speculative II search: window is the
-// number of candidate IIs grouped into one probe round after the MII
-// candidate fails (0 keeps the default), and workers bounds the
-// goroutines probing one round concurrently (<= 1, the default, keeps
-// the search sequential). Speculation never changes the result — the
-// lowest feasible II is committed either way — only the wall-clock
-// time to find it; see docs/OBSERVABILITY.md for the determinism
-// contract.
-func WithSpeculation(window, workers int) Option {
-	return func(po *pipeline.Options) {
-		po.SpeculativeWindow = window
-		po.SpeculativeWorkers = workers
-	}
-}
-
 // Result is a complete clustered modulo schedule.
 type Result struct {
 	// II is the achieved initiation interval; MII its lower bound.

@@ -23,10 +23,10 @@ import (
 //   - per_loop: the cold path, a fresh executor per loop, so every
 //     loop pays machine setup and session construction — what running
 //     clusterc once per loop costs.
-//   - w1: the streaming pipeline with one scheduling worker. The gap
+//   - w1: the streaming executor with one whole-loop worker. The gap
 //     to per_loop is the session-reuse and streaming win.
-//   - w4: the same pipeline with four scheduling workers. On a
-//     multi-core host this is the stage-parallel speedup; the cpus
+//   - w4: the same executor with four whole-loop workers. On a
+//     multi-core host this is the loop-parallel speedup; the cpus
 //     field records how many cores the measurement actually had, and
 //     on a single-core host w4/w1 is honestly ~1.
 //

@@ -54,9 +54,6 @@ func TestFlagConflicts(t *testing.T) {
 		{"trend without trendsha", []string{"trend"}, []string{"CLI007"}},
 		{"trend without trendsha plus mode", []string{"trend", "baseline"}, []string{"CLI001", "CLI007"}},
 		{"trendsha without trend", []string{"trendsha"}, []string{"CLI006"}},
-		{"spec with benchjson", []string{"benchjson", "spec"}, nil},
-		{"spec without benchjson", []string{"spec"}, []string{"CLI008"}},
-		{"spec with wrong mode", []string{"assignjson", "spec"}, []string{"CLI008"}},
 		{"compilejson mode", []string{"compilejson", "benchreps"}, nil},
 		{"compilejson with another mode", []string{"compilejson", "benchjson"}, []string{"CLI001"}},
 		{"stacked", []string{"server", "benchjson", "cpuprofile"}, []string{"CLI001", "CLI002"}},

@@ -11,10 +11,10 @@
 //	echo 'loop dot { s = s + a[i]*b[i] }' | clusterc -
 //
 // -O selects the whole-translation-unit compile path
-// (internal/compile): the loops stream through lint → schedule →
-// stagesched → regalloc → emit as a stage-parallel pipeline with
-// -workers scheduling workers, and the kernels print in input order —
-// stdout is byte-identical for every worker count. -v adds the
+// (internal/compile): -workers whole-loop workers each take the next
+// loop and run it through lint → schedule → stagesched → regalloc →
+// emit, and the kernels print in input order — stdout is
+// byte-identical for every worker count. -v adds the
 // per-stage time breakdown and aggregate search stats on stderr.
 //
 // The language: one index variable i, array accesses a[i+k] (loads and
@@ -52,8 +52,8 @@ func main() {
 		nolint      = flag.Bool("nolint", false, "skip the pre-compilation source lint (diagnostics still apply inside the pipeline)")
 		trace       = flag.String("trace", "", "write a JSON-lines event stream of the schedule search to this file (- for stderr)")
 		timeout     = flag.Duration("timeout", 0, "per-loop scheduling deadline (0 = none), e.g. 500ms")
-		wholeTU     = flag.Bool("O", false, "whole-translation-unit mode: stream all loops through the stage-parallel compile pipeline")
-		workers     = flag.Int("workers", 0, "scheduling workers for -O (0 = GOMAXPROCS); output is identical for every value")
+		wholeTU     = flag.Bool("O", false, "whole-translation-unit mode: compile all loops on whole-loop workers, printing kernels in input order")
+		workers     = flag.Int("workers", 0, "loops compiled at once under -O, each by one worker running every stage (0 = GOMAXPROCS); output is identical for every value")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -173,7 +173,7 @@ type tuConfig struct {
 }
 
 // compileTU is the -O path: the whole translation unit streams
-// through internal/compile's stage-parallel pipeline. Kernels print
+// through internal/compile's whole-loop workers. Kernels print
 // to stdout in input order as they retire — byte-identical for every
 // worker count — and the per-stage breakdown goes to stderr under -v.
 func compileTU(ctx context.Context, src string, m *clustersched.Machine, cfg tuConfig) {

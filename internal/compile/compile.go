@@ -1,32 +1,31 @@
 // Package compile is the whole-translation-unit compile path: it
 // takes a multi-loop program through lint → assign/schedule (on
 // pooled pipeline.Sessions) → stage scheduling → register allocation
-// → emission → optional sim cross-validation as one streaming,
-// stage-parallel pipeline.
+// → emission → optional sim cross-validation, streaming loops through
+// a bounded set of whole-loop workers.
 //
-// The stage graph is fixed:
+// Every loop passes the same fixed stage sequence:
 //
 //	frontend → lint → schedule → stagesched → regalloc → emit → validate
 //
 // (frontend runs in the caller — see Source — and the stagesched and
-// validate stages no-op unless enabled by Options). Loops flow
-// through the stages as independent items over pool.RunStages:
-// bounded per-stage worker pools, a bounded queue between adjacent
-// stages (backpressure — a slow scheduler stalls lint, not memory),
-// and loop 3 can be in regalloc while loop 7 is still in assignment.
-// The schedule stage carries the worker budget; the light stages run
-// narrow. Results are assembled in input order regardless of
-// completion order, so Options.Emit observes exactly the sequence a
-// sequential compiler would produce and output is byte-identical for
-// every worker count.
+// validate stages no-op unless enabled by Options). Loops are
+// independent items over pool.Stream: each of Options.Workers
+// goroutines takes the next loop in input order and runs every stage
+// of it, one after the other, on one pooled session — the same
+// per-loop function Executor.One runs on the caller's goroutine.
+// Results are assembled in input order regardless of completion
+// order, so Options.Emit observes exactly the sequence a sequential
+// compiler would produce and output is byte-identical for every
+// worker count.
 //
-// Cancellation is drain-through: every stage checks the run context
-// and the loop's error before doing work, so once the context ends,
-// in-flight loops flush through the remaining stages as no-ops and
-// Run returns promptly with every loop marked canceled. There are no
-// multi-channel selects and no goroutines in this package (they live
-// in internal/pool); compile is on schedvet's critical list and holds
-// to the same determinism contract as the scheduler itself.
+// Cancellation is drain-through: before every stage a loop checks the
+// run context and its own error, so once the context ends, in-flight
+// loops skip their remaining stages and Run returns promptly with
+// every loop marked canceled. There are no multi-channel selects and
+// no goroutines in this package (they live in internal/pool); compile
+// is on schedvet's critical list and holds to the same determinism
+// contract as the scheduler itself.
 package compile
 
 import (
@@ -72,14 +71,11 @@ type Options struct {
 	// never what a compiler driver wants (cmd/clusterc and the server
 	// pass HeuristicIterative explicitly, like the library facade).
 	Pipeline pipeline.Options
-	// Workers bounds the schedule stage's worker pool, the wide stage
-	// of the pipeline; <= 0 selects GOMAXPROCS. Worker count changes
-	// wall-clock time only, never output (deterministic assembly).
+	// Workers bounds the loops compiled at once: each worker runs
+	// every stage of one loop before taking the next; <= 0 selects
+	// GOMAXPROCS. Worker count changes wall-clock time only, never
+	// output (deterministic assembly).
 	Workers int
-	// Buffer is the queue depth between adjacent stages; <= 0 selects
-	// twice the worker count. Smaller buffers tighten backpressure,
-	// larger ones smooth stage-time variance.
-	Buffer int
 	// NoLint skips the per-loop graph lint stage (the pipeline still
 	// rejects graphs with Error-severity findings).
 	NoLint bool
@@ -96,12 +92,12 @@ type Options struct {
 	// default (3*MVE factor + 4).
 	SimIters int
 	// Emit, when set, is called once per loop in input order as
-	// results retire from the pipeline, on the goroutine that called
-	// Run. It sees failed loops too (Err non-nil).
+	// results retire, on the goroutine that called Run. It sees failed
+	// loops too (Err non-nil).
 	Emit func(*LoopResult)
 }
 
-// LoopResult is one loop's journey through the pipeline.
+// LoopResult is one loop's journey through the stages.
 type LoopResult struct {
 	// Index is the loop's position in the translation unit.
 	Index int
@@ -111,8 +107,8 @@ type LoopResult struct {
 	// Graph is the loop's input dependence graph (the annotated graph
 	// with inserted copies is Outcome.Assignment.Graph).
 	Graph *ddg.Graph
-	// Err is the first stage failure; later stages pass a failed loop
-	// through untouched, so at most one stage contributes.
+	// Err is the first stage failure; a failed loop skips its later
+	// stages, so at most one stage contributes.
 	Err error
 	// Outcome is the schedule-stage result (nil when that stage failed
 	// or never ran).
@@ -133,8 +129,8 @@ type StageStat struct {
 	// through without being counted).
 	Loops int `json:"loops"`
 	// NS is the stage's summed wall-clock time across all loops and
-	// workers (it can exceed the run's elapsed time when the stage ran
-	// in parallel).
+	// workers (it can exceed the run's elapsed time when loops ran in
+	// parallel).
 	NS int64 `json:"ns"`
 }
 
@@ -166,22 +162,17 @@ type Executor struct {
 	m       *machine.Config
 	opts    Options
 	workers int
-	buffer  int
 
-	// sessions is the free list of per-worker scheduling sessions,
-	// the same single-communication idiom as pipeline.Session's
-	// scratch pools.
+	// sessions is the free list of scheduling sessions, one per loop
+	// in flight (single-communication sends and receives only).
 	sessions chan *pipeline.Session
 }
 
 // NewExecutor builds an executor for machine m.
 func NewExecutor(m *machine.Config, opts Options) *Executor {
-	e := &Executor{m: m, opts: opts, workers: opts.Workers, buffer: opts.Buffer}
+	e := &Executor{m: m, opts: opts, workers: opts.Workers}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
-	}
-	if e.buffer <= 0 {
-		e.buffer = 2 * e.workers
 	}
 	e.sessions = make(chan *pipeline.Session, e.workers)
 	return e
@@ -237,22 +228,13 @@ func (e *Executor) Run(ctx context.Context, loops []frontend.Loop) (*Result, err
 		r.jobs[i].res = LoopResult{Index: i, Name: loops[i].Name, Line: loops[i].Line, Graph: loops[i].Graph}
 	}
 
-	stages := []pool.Stage{
-		{Name: stageNames[stageLint], Workers: 1, Fn: r.stageFn(stageLint, r.lint)},
-		{Name: stageNames[stageSchedule], Workers: e.workers, Fn: r.stageFn(stageSchedule, r.schedule)},
-		{Name: stageNames[stageStagesched], Workers: 1, Fn: r.stageFn(stageStagesched, r.stagesched)},
-		{Name: stageNames[stageRegalloc], Workers: 1, Fn: r.stageFn(stageRegalloc, r.regalloc)},
-		{Name: stageNames[stageEmit], Workers: 1, Fn: r.stageFn(stageEmit, r.emit)},
-		{Name: stageNames[stageValidate], Workers: 1, Fn: r.stageFn(stageValidate, r.validate)},
-	}
-
 	// The sink reorders completion order back to input order: emit
 	// callbacks fire for loop i only once loops 0..i-1 have retired.
-	// It runs on this goroutine only (pool.RunStages's contract), so
-	// the cursor needs no synchronization.
+	// It runs on this goroutine only (pool.Stream's contract), so the
+	// cursor needs no synchronization.
 	retired := make([]bool, len(r.jobs))
 	next := 0
-	pool.RunStages(len(r.jobs), e.buffer, stages, func(i int) {
+	pool.Stream(len(r.jobs), e.workers, r.compileLoop, func(i int) {
 		retired[i] = true
 		for next < len(retired) && retired[next] {
 			if e.opts.Emit != nil {
@@ -269,8 +251,8 @@ func (e *Executor) Run(ctx context.Context, loops []frontend.Loop) (*Result, err
 	return res, nil
 }
 
-// One compiles a single loop through the same stage functions,
-// sequentially on the calling goroutine — the form the clusterd
+// One compiles a single loop through the same per-loop function a
+// Run worker uses, on the calling goroutine — the form the clusterd
 // compile endpoint uses under its per-loop result cache. Its result
 // is identical to the loop's LoopResult from a Run over any unit
 // containing it.
@@ -280,21 +262,12 @@ func (e *Executor) One(ctx context.Context, loop frontend.Loop) *LoopResult {
 	}
 	r := &run{e: e, ctx: ctx, jobs: make([]job, 1)}
 	r.jobs[0].res = LoopResult{Name: loop.Name, Line: loop.Line, Graph: loop.Graph}
-	for idx, fn := range [numStages]func(*job) bool{
-		stageLint:       r.lint,
-		stageSchedule:   r.schedule,
-		stageStagesched: r.stagesched,
-		stageRegalloc:   r.regalloc,
-		stageEmit:       r.emit,
-		stageValidate:   r.validate,
-	} {
-		r.stageFn(idx, fn)(0)
-	}
+	r.compileLoop(0)
 	return &r.jobs[0].res
 }
 
 // run is the per-Run state: the job slab plus per-stage counters
-// (atomics — stages of one loop run on different goroutines).
+// (atomics — the workers compiling different loops share them).
 type run struct {
 	e    *Executor
 	ctx  context.Context
@@ -303,24 +276,35 @@ type run struct {
 	cnt  [numStages]atomic.Int64
 }
 
-// job carries one loop's intermediate state between stages. Exactly
-// one stage touches a given job at a time (pool.RunStages's ordering
-// guarantee), so the fields need no locks.
+// job carries one loop's intermediate state between stages. One
+// worker owns a job from its first stage to its last, so the fields
+// need no locks.
 type job struct {
 	res LoopResult
 	in  sched.Input
 	sch *sched.Schedule
 }
 
-// stageFn wraps a stage body with the drain-through checks and the
-// per-stage accounting. A loop that already failed — or a run whose
-// context ended — passes through without work, which is what lets
-// cancellation flush the pipeline without a single select. A body
-// returns false when its stage is disabled, keeping disabled stages
-// out of the per-stage breakdown.
-func (r *run) stageFn(idx int, fn func(*job) bool) func(int) {
-	return func(i int) {
-		j := &r.jobs[i]
+// stageFns are the stage bodies in flow order. A body returns false
+// when its stage is disabled, keeping disabled stages out of the
+// per-stage breakdown.
+var stageFns = [numStages]func(*run, *job) bool{
+	stageLint:       (*run).lint,
+	stageSchedule:   (*run).schedule,
+	stageStagesched: (*run).stagesched,
+	stageRegalloc:   (*run).regalloc,
+	stageEmit:       (*run).emit,
+	stageValidate:   (*run).validate,
+}
+
+// compileLoop runs loop i through every stage with the per-stage
+// accounting. A loop that failed stops there, and a run whose context
+// ended marks the loop canceled at the stage it reached — the
+// drain-through that lets cancellation finish a Run without a single
+// select.
+func (r *run) compileLoop(i int) {
+	j := &r.jobs[i]
+	for idx, fn := range stageFns {
 		if j.res.Err != nil {
 			return
 		}
@@ -329,7 +313,7 @@ func (r *run) stageFn(idx int, fn func(*job) bool) func(int) {
 			return
 		}
 		t := obs.Now()
-		if fn(j) {
+		if fn(r, j) {
 			r.ns[idx].Add(obs.Now().Sub(t).Nanoseconds())
 			r.cnt[idx].Add(1)
 		}

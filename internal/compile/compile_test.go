@@ -3,6 +3,7 @@ package compile
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -66,31 +67,35 @@ func render(res *Result) string {
 	return b.String()
 }
 
-// TestRunDeterministicAcrossWorkers is the tentpole's ordering
-// contract: worker count and buffer depth change wall-clock time
-// only. Emitted text, IIs, allocations, stats, and the Emit callback
-// sequence must be byte-identical.
+// TestRunDeterministicAcrossWorkers is the ordering contract: worker
+// count changes wall-clock time only. Emitted text, IIs, allocations,
+// stats, per-stage loop counts, and the Emit callback sequence must be
+// identical, and Emit must fire on the goroutine that called Run.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	loops := corpus(t)
 	m := machine.NewBusedGP(2, 2, 1)
 
-	type variant struct{ workers, buffer int }
 	var base *Result
 	var baseEmit []int
-	for _, v := range []variant{{1, 1}, {4, 2}, {4, 8}, {8, 3}} {
+	for _, workers := range []int{1, 2, 4, 8, len(loops) + 3} {
 		opts := testOptions()
-		opts.Workers = v.workers
-		opts.Buffer = v.buffer
+		opts.Workers = workers
 		opts.StageSched = true
 		var emitted []int
-		opts.Emit = func(l *LoopResult) { emitted = append(emitted, l.Index) }
+		runG := goid()
+		opts.Emit = func(l *LoopResult) {
+			if g := goid(); g != runG {
+				t.Errorf("workers=%d: Emit for loop %d ran on goroutine %s, Run on %s", workers, l.Index, g, runG)
+			}
+			emitted = append(emitted, l.Index)
+		}
 		res, err := NewExecutor(m, opts).Run(context.Background(), loops)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", v.workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i, idx := range emitted {
 			if idx != i {
-				t.Fatalf("workers=%d: emit order %v is not input order", v.workers, emitted)
+				t.Fatalf("workers=%d: emit order %v is not input order", workers, emitted)
 			}
 		}
 		if base == nil {
@@ -98,10 +103,13 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if len(emitted) != len(baseEmit) {
-			t.Fatalf("workers=%d: %d emit callbacks, want %d", v.workers, len(emitted), len(baseEmit))
+			t.Fatalf("workers=%d: %d emit callbacks, want %d", workers, len(emitted), len(baseEmit))
 		}
 		if got, want := render(res), render(base); got != want {
-			t.Fatalf("workers=%d buffer=%d output differs from workers=1:\n%s", v.workers, v.buffer, firstDiff(got, want))
+			t.Fatalf("workers=%d output differs from workers=1:\n%s", workers, firstDiff(got, want))
+		}
+		if got, want := stageLoops(res), stageLoops(base); got != want {
+			t.Fatalf("workers=%d: per-stage loop counts %s, want %s", workers, got, want)
 		}
 		// Wall-clock durations vary run to run; every search-effort
 		// counter must not.
@@ -109,12 +117,29 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		gs.MIITime, gs.AssignTime, gs.SchedTime = 0, 0, 0
 		bs.MIITime, bs.AssignTime, bs.SchedTime = 0, 0, 0
 		if gs != bs {
-			t.Fatalf("workers=%d: aggregated search stats differ from workers=1:\n got %+v\nwant %+v", v.workers, gs, bs)
+			t.Fatalf("workers=%d: aggregated search stats differ from workers=1:\n got %+v\nwant %+v", workers, gs, bs)
 		}
 	}
 	if base.Failed != 0 {
 		t.Fatalf("%d corpus loops failed to compile", base.Failed)
 	}
+}
+
+// goid returns the calling goroutine's ID, read from its stack header
+// ("goroutine N [running]:").
+func goid() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// stageLoops renders the per-stage loop counts of a result.
+func stageLoops(res *Result) string {
+	var b strings.Builder
+	for _, st := range res.Stages {
+		fmt.Fprintf(&b, "%s=%d ", st.Stage, st.Loops)
+	}
+	return b.String()
 }
 
 func firstDiff(a, b string) string {
@@ -206,8 +231,8 @@ func TestLivermoreValueDifferential(t *testing.T) {
 	}
 }
 
-// TestOneMatchesRun: the sequential single-loop path (the server's
-// entry point) must agree with the streaming batch path.
+// TestOneMatchesRun: the single-loop path (the server's entry point)
+// must agree with the streaming batch path.
 func TestOneMatchesRun(t *testing.T) {
 	loops := corpus(t)[:6]
 	m := machine.NewBusedGP(2, 2, 1)
@@ -231,7 +256,7 @@ func TestOneMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunCanceled: a dead context drains the pipeline; every loop is
+// TestRunCanceled: a dead context drains the run; every loop is
 // marked canceled and Run reports the cancellation.
 func TestRunCanceled(t *testing.T) {
 	loops := corpus(t)

@@ -188,14 +188,6 @@ type Stats struct {
 	// re-run from scratch at the same II to keep the search outcome
 	// independent of the warm seed.
 	IIWarmFallbacks int `json:"ii_warm_fallbacks"`
-	// IISpeculativeWins counts II probe windows whose committed II was
-	// produced by a speculative (parallel) probe.
-	IISpeculativeWins int `json:"ii_speculative_wins"`
-	// IISpeculativeWasted counts speculative probes whose result was
-	// discarded because a lower II in the same window succeeded. Their
-	// other counters are not merged into the run's totals, so every
-	// remaining counter matches the sequential search exactly.
-	IISpeculativeWasted int `json:"ii_speculative_wasted"`
 	// MIITime, AssignTime, and SchedTime attribute wall-clock time to
 	// the phases; AssignTime and SchedTime sum over all II candidates.
 	MIITime    time.Duration `json:"mii_ns"`
@@ -219,8 +211,6 @@ func (s *Stats) Add(o Stats) {
 	s.AssignFullDerives += o.AssignFullDerives
 	s.IIWarmStarts += o.IIWarmStarts
 	s.IIWarmFallbacks += o.IIWarmFallbacks
-	s.IISpeculativeWins += o.IISpeculativeWins
-	s.IISpeculativeWasted += o.IISpeculativeWasted
 	s.MIITime += o.MIITime
 	s.AssignTime += o.AssignTime
 	s.SchedTime += o.SchedTime
@@ -235,8 +225,7 @@ func (s Stats) String() string {
 		s.SchedDisplacements, s.AssignRejects, s.SchedRejects,
 		s.AssignBudgetExhausted, s.SchedBudgetExhausted)
 	fmt.Fprintf(&b, " deltas=%d full_derives=%d", s.AssignDeltas, s.AssignFullDerives)
-	fmt.Fprintf(&b, " warm=%d/%d spec=%d/%d",
-		s.IIWarmStarts, s.IIWarmFallbacks, s.IISpeculativeWins, s.IISpeculativeWasted)
+	fmt.Fprintf(&b, " warm=%d/%d", s.IIWarmStarts, s.IIWarmFallbacks)
 	fmt.Fprintf(&b, " t_mii=%s t_assign=%s t_sched=%s",
 		s.MIITime.Round(time.Microsecond), s.AssignTime.Round(time.Microsecond),
 		s.SchedTime.Round(time.Microsecond))
@@ -435,24 +424,6 @@ func (t *Trace) WarmFallback() {
 		return
 	}
 	t.Stats.IIWarmFallbacks++
-}
-
-// SpeculativeWin records a probe window committed from a speculative
-// (parallel) probe. Stats-only.
-func (t *Trace) SpeculativeWin() {
-	if t == nil {
-		return
-	}
-	t.Stats.IISpeculativeWins++
-}
-
-// SpeculativeWasted records n speculative probes whose work was
-// discarded because a lower II in their window succeeded. Stats-only.
-func (t *Trace) SpeculativeWasted(n int) {
-	if t == nil {
-		return
-	}
-	t.Stats.IISpeculativeWasted += n
 }
 
 // SchedDisplace records the modulo scheduler unscheduling victim on

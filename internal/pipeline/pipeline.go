@@ -10,11 +10,10 @@
 // buffers, per-machine ResMII totals) is hoisted out of the per-II
 // loop, and each escalated candidate is warm-started from the failed
 // candidate's last consistent partial assignment, falling back to a
-// scratch run at the same II when the warm attempt fails. After the
-// first failure, candidate IIs are probed in windows that can be
-// evaluated speculatively in parallel (Options.SpeculativeWorkers);
-// the lowest feasible candidate is committed either way, so outcomes
-// are byte-identical to the sequential search (see
+// scratch run at the same II when the warm attempt fails. The walk is
+// sequential, one candidate at a time from the MII upward; after the
+// MII candidate fails, candidates are grouped in windows of
+// DefaultSpeculativeWindow that share one warm seed (see
 // docs/OBSERVABILITY.md for the determinism contract). RunBatch
 // shards whole loop sets over a worker pool with one Session per
 // worker.
@@ -91,21 +90,6 @@ type Options struct {
 	// achieved II (a failed warm attempt falls back to a scratch run
 	// at the same II).
 	DisableWarmStart bool
-	// SpeculativeWindow is the number of candidate IIs grouped into
-	// one probe round after the MII candidate fails; every probe in a
-	// round shares the same warm seed, which is what lets the round
-	// run speculatively without changing its outcome. Zero selects
-	// DefaultSpeculativeWindow. The window shapes the search (seeds
-	// advance per round, not per candidate) and must therefore be
-	// identical when comparing sequential and speculative runs.
-	SpeculativeWindow int
-	// SpeculativeWorkers bounds the goroutines evaluating one probe
-	// round concurrently. <= 1 (the default) evaluates rounds
-	// sequentially with early exit; higher values overlap candidate
-	// IIs and commit the lowest feasible one, byte-identical to the
-	// sequential result. Batch callers normally leave this at 1 and
-	// parallelize across loops instead (see RunBatch).
-	SpeculativeWorkers int
 }
 
 // DefaultMaxIISlack is the default II search headroom above MII.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"clustersched/internal/assign"
 	"clustersched/internal/ddg"
@@ -16,42 +17,38 @@ import (
 	"clustersched/internal/sched"
 )
 
-// DefaultSpeculativeWindow is the number of candidate IIs evaluated
-// per probe round once the search has left the MII (see
-// Options.SpeculativeWindow).
+// DefaultSpeculativeWindow is the warm-seed window: after the MII
+// candidate fails, candidate IIs are walked in groups of this many,
+// and every candidate of a group is warm-started from the seed the
+// previous group's last candidate left behind. The name predates the
+// sequential walk; it is kept because the benchmark's replay of the
+// search (perfbench) names it.
 const DefaultSpeculativeWindow = 4
 
 // Session is a reusable scheduling context for one machine
 // configuration: it hoists everything the II search would otherwise
 // recompute per call — the machine lint verdict, the per-machine
-// ResMII resource totals, and the schedulers' working buffers — and
-// runs the warm-started, optionally speculative II search described in
-// the package comment. Scheduling many loops on one Session is
-// equivalent to (and byte-identical with) calling RunContext per loop;
-// it is just faster.
+// ResMII resource totals, the assignment problem's slabs, and the
+// schedulers' working buffers — and runs the warm-started II search
+// described in the package comment. Scheduling many loops on one
+// Session is equivalent to (and byte-identical with) calling
+// RunContext per loop; it is just faster.
 //
-// A Session may be used from one goroutine at a time. Probe workers
-// spawned internally never outlive a Schedule call.
+// A Session may be used from one goroutine at a time.
 type Session struct {
-	m    *machine.Config
-	opts Options
-	mc   *mii.Machine
-	mErr error
+	m     *machine.Config
+	opts  Options
+	mc    *mii.Machine
+	mErr  error
+	slack int
 
-	slack   int
-	window  int
-	workers int
-
-	// scratches is the free list of scheduler buffer sets, shared
-	// across loops and probe workers of this session.
-	scratches chan *sched.Scratch
-
-	// probs is the free list of assignment problems. Problems are
-	// graph-specific but rebindable: a pooled problem taken for a new
-	// loop is re-targeted with Bind, reusing its slabs, capacity
-	// tables, and ordering scratch across every loop of the session.
-	probs chan *assign.Problem
-
+	// prob is the assignment problem, built for the session's first
+	// loop and rebound (assign.Problem.Bind) at every later one, so
+	// its slabs, capacity tables, and ordering scratch are reused
+	// across the session.
+	prob *assign.Problem
+	// sc is the schedulers' working buffer set.
+	sc sched.Scratch
 	// recSc backs the session's MII computations (mii.Machine itself
 	// stays immutable and shareable).
 	recSc mii.RecScratch
@@ -63,12 +60,10 @@ type Session struct {
 // reports.
 func NewSession(m *machine.Config, opts Options) *Session {
 	s := &Session{
-		m:       m,
-		opts:    opts,
-		mc:      mii.NewMachine(m),
-		slack:   opts.MaxIISlack,
-		window:  opts.SpeculativeWindow,
-		workers: opts.SpeculativeWorkers,
+		m:     m,
+		opts:  opts,
+		mc:    mii.NewMachine(m),
+		slack: opts.MaxIISlack,
 	}
 	if err := diag.AsError(lint.Machine(m)); err != nil {
 		s.mErr = fmt.Errorf("pipeline: invalid machine: %w", err)
@@ -76,33 +71,7 @@ func NewSession(m *machine.Config, opts Options) *Session {
 	if s.slack <= 0 {
 		s.slack = DefaultMaxIISlack
 	}
-	if s.window <= 0 {
-		s.window = DefaultSpeculativeWindow
-	}
-	if s.workers <= 0 {
-		s.workers = 1
-	}
-	s.scratches = make(chan *sched.Scratch, s.workers)
-	s.probs = make(chan *assign.Problem, s.workers)
 	return s
-}
-
-// takeScratch and putScratch manage the scheduler-buffer free list.
-func (s *Session) takeScratch() *sched.Scratch {
-	select {
-	case sc := <-s.scratches:
-		return sc
-	default:
-		return new(sched.Scratch)
-	}
-}
-
-//schedvet:alloc-free
-func (s *Session) putScratch(sc *sched.Scratch) {
-	select {
-	case s.scratches <- sc:
-	default:
-	}
 }
 
 // Schedule runs the II search for loop g. It is the session form of
@@ -127,102 +96,41 @@ func (s *Session) Schedule(ctx context.Context, g *ddg.Graph) (*Outcome, error) 
 	tm := tr.BeginPhase(obs.PhaseMII, 0)
 	out := &Outcome{MII: s.mc.MIIWith(g, &s.recSc)}
 	tr.EndPhase(obs.PhaseMII, out.MII, tm, true)
-
-	sr := &search{
-		s:       s,
-		g:       g,
-		ctx:     ctx,
-		collect: tr != nil,
+	if s.prob == nil {
+		s.prob = assign.NewProblem(g, s.m, s.opts.Assign)
+	} else {
+		s.prob.Bind(g)
 	}
 
-	finish := func(po probeOut) (*Outcome, error) {
-		out.II = po.ii
-		out.Assignment = po.res
-		out.Schedule = po.sch
-		if tr != nil {
-			out.Stats = tr.Stats
-		}
-		return out, nil
-	}
-	// consume folds a probe the sequential search would also have run
-	// into the run totals; wasted speculative probes never get here.
-	consume := func(po probeOut) {
-		if po.collected && tr != nil {
-			tr.Stats.Add(po.stats)
-		}
-		out.AssignFailures += po.assignFail
-		out.SchedFailures += po.schedFail
-	}
-
-	// First candidate: the MII, probed alone and never warm (there is
-	// no earlier failure to seed from).
-	if err := tr.Err(); err != nil {
-		return nil, fmt.Errorf("pipeline: search canceled at II %d (MII %d): %w", out.MII, out.MII, err)
-	}
-	po := sr.probe(out.MII, nil)
-	consume(po)
-	if po.ok {
-		return finish(po)
-	}
-	seed := po.partial
-
-	// Escalation: probe windows of candidate IIs, every probe in a
-	// window warm-started from the same seed — the partial assignment
-	// left by the previous round's highest candidate. The sequential
-	// and speculative executions of a window differ only in overlap:
-	// probes are pure functions of (graph, II, seed), the sequential
-	// walk stops at the first success, and the speculative walk runs
-	// the whole window and commits the lowest success, so both commit
-	// the identical probe.
+	// The walk: candidate IIs from the MII upward, committing the
+	// first that schedules. The MII candidate runs cold (there is no
+	// earlier failure to seed from). Later candidates come in windows
+	// of DefaultSpeculativeWindow, and every candidate of a window is
+	// warm-started from the seed left by the previous window's last
+	// candidate (the MII candidate is the window before the first).
 	maxII := out.MII + s.slack
-	for base := out.MII + 1; base <= maxII; base += s.window {
+	var seed, last []int
+	for ii := out.MII; ii <= maxII; ii++ {
 		if err := tr.Err(); err != nil {
-			return nil, fmt.Errorf("pipeline: search canceled at II %d (MII %d): %w", base, out.MII, err)
+			return nil, fmt.Errorf("pipeline: search canceled at II %d (MII %d): %w", ii, out.MII, err)
 		}
-		w := s.window
-		if base+w-1 > maxII {
-			w = maxII - base + 1
+		if ii > out.MII && (ii-out.MII-1)%DefaultSpeculativeWindow == 0 {
+			seed = last
 		}
-		outs := make([]probeOut, 0, w)
-		speculated := s.workers > 1 && w > 1
-		if speculated {
-			all := make([]probeOut, w)
-			_ = pool.ForEach(sr.ctx, w, s.workers, func(i int) {
-				all[i] = sr.probe(base+i, seed)
-			})
-			outs = all
+		res, sch, partial := s.probe(tr, ii, seed)
+		if sch != nil {
+			out.II, out.Assignment, out.Schedule = ii, res, sch
+			if tr != nil {
+				out.Stats = tr.Stats
+			}
+			return out, nil
+		}
+		if res == nil {
+			out.AssignFailures++
 		} else {
-			for i := 0; i < w; i++ {
-				po := sr.probe(base+i, seed)
-				outs = append(outs, po)
-				if po.ok {
-					break
-				}
-			}
+			out.SchedFailures++
 		}
-		winner := -1
-		for i := range outs {
-			if outs[i].ok {
-				winner = i
-				break
-			}
-		}
-		if winner >= 0 {
-			for i := 0; i <= winner; i++ {
-				consume(outs[i])
-			}
-			if speculated {
-				if winner > 0 {
-					tr.SpeculativeWin()
-				}
-				tr.SpeculativeWasted(len(outs) - winner - 1)
-			}
-			return finish(outs[winner])
-		}
-		for i := range outs {
-			consume(outs[i])
-		}
-		seed = outs[len(outs)-1].partial
+		last = partial
 	}
 	if err := tr.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: search canceled (MII %d): %w", out.MII, err)
@@ -231,150 +139,73 @@ func (s *Session) Schedule(ctx context.Context, g *ddg.Graph) (*Outcome, error) 
 		s.m.Name, maxII, out.MII)
 }
 
-// search is the per-loop state of one Schedule call.
-type search struct {
-	s       *Session
-	g       *ddg.Graph
-	ctx     context.Context
-	collect bool
-}
-
-// takeProb draws an assignment problem from the session pool,
-// rebinding it at this search's graph, or builds a fresh one when the
-// pool is empty. A rebound problem is behaviorally identical to a
-// fresh one (assign.Problem.Bind's contract), so pooling changes only
-// allocation counts, never outcomes.
-func (sr *search) takeProb() *assign.Problem {
-	select {
-	case p := <-sr.s.probs:
-		p.Bind(sr.g)
-		return p
-	default:
-		return assign.NewProblem(sr.g, sr.s.m, sr.s.opts.Assign)
-	}
-}
-
-//schedvet:alloc-free
-func (sr *search) putProb(p *assign.Problem) {
-	select {
-	case sr.s.probs <- p:
-	default:
-	}
-}
-
-// probeOut is the result of one candidate-II probe.
-type probeOut struct {
-	ii  int
-	ok  bool
-	res *assign.Result
-	sch *sched.Schedule
-	// partial is the warm seed this failed probe leaves behind (an
-	// owned copy; nil when the probe succeeded, was canceled, or ran
-	// on a unified machine).
-	partial []int
-	// stats are the probe's counters when collection was on; wasted
-	// speculative probes' stats are dropped by the caller so the
-	// surviving totals match the sequential search exactly.
-	stats      obs.Stats
-	collected  bool
-	assignFail int
-	schedFail  int
-}
-
 // probe evaluates one candidate II: a warm-started attempt when a seed
 // is available (and warm starts are enabled), falling back to a
 // scratch attempt at the same II when the warm attempt fails, so a
-// warm probe succeeds whenever a scratch probe would. Probes are pure
-// functions of (graph, machine, options, ii, seed) — they share no
-// mutable state — which is what makes speculative execution commit
-// byte-identical outcomes to the sequential walk.
-func (sr *search) probe(ii int, seed []int) (po probeOut) {
-	po.ii = ii
-	ptr := obs.New(sr.ctx, sr.s.opts.Observer, sr.collect)
-	p := sr.takeProb()
-	sc := sr.s.takeScratch()
-	defer func() {
-		sr.putProb(p)
-		sr.s.putScratch(sc)
-		if ptr != nil {
-			po.stats = ptr.Stats
-			po.collected = true
+// warm probe succeeds whenever a scratch probe would. On success sch
+// is non-nil. On failure res tells which phase rejected the II (nil:
+// assignment, non-nil: the scheduler), and partial is the warm seed
+// the probe leaves behind — an owned copy, nil when the probe was
+// canceled or left nothing to reuse.
+func (s *Session) probe(tr *obs.Trace, ii int, seed []int) (res *assign.Result, sch *sched.Schedule, partial []int) {
+	tr.IICandidate(ii)
+	if len(seed) > 0 && !s.opts.DisableWarmStart {
+		tr.WarmStart()
+		if res, sch, _ := s.attempt(tr, ii, seed); sch != nil {
+			return res, sch, nil
 		}
-	}()
-	ptr.IICandidate(ii)
-
-	if len(seed) > 0 && !sr.s.opts.DisableWarmStart {
-		ptr.WarmStart()
-		res, sch, _, ok := sr.attempt(p, sc, ii, seed, ptr)
-		if ok {
-			po.ok, po.res, po.sch = true, res, sch
-			return po
+		if tr.Canceled() {
+			return nil, nil, nil
 		}
-		if ptr.Canceled() {
-			return po
-		}
-		ptr.WarmFallback()
+		tr.WarmFallback()
 	}
-	res, sch, partial, ok := sr.attempt(p, sc, ii, nil, ptr)
-	if ok {
-		po.ok, po.res, po.sch = true, res, sch
-		return po
+	res, sch, partial = s.attempt(tr, ii, nil)
+	if sch != nil || tr.Canceled() {
+		return res, sch, nil
 	}
-	po.assignFail, po.schedFail = boolInt(sch == nil && res == nil), boolInt(res != nil)
-	if partial != nil && !ptr.Canceled() {
-		po.partial = append([]int(nil), partial...)
-	}
-	return po
-}
-
-//schedvet:alloc-free
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return res, nil, slices.Clone(partial)
 }
 
 // attempt is one assignment+scheduling pass at ii. On failure it
 // returns the warm seed the pass leaves behind: the assignment's
 // consistent partial on an assignment failure, or the full committed
 // assignment when the scheduler was the phase that rejected the II.
-// The returned partial aliases p or res and must be copied before p
-// is reused.
+// The returned partial aliases the session's problem or res and must
+// be copied before the problem runs again.
 //
 //schedvet:alloc-free
-func (sr *search) attempt(p *assign.Problem, sc *sched.Scratch, ii int, seed []int, ptr *obs.Trace) (*assign.Result, *sched.Schedule, []int, bool) {
-	ta := ptr.BeginPhase(obs.PhaseAssign, ii)
-	res, aok := p.RunAt(ii, seed, ptr)
-	ptr.EndPhase(obs.PhaseAssign, ii, ta, aok)
+func (s *Session) attempt(tr *obs.Trace, ii int, seed []int) (*assign.Result, *sched.Schedule, []int) {
+	ta := tr.BeginPhase(obs.PhaseAssign, ii)
+	res, aok := s.prob.RunAt(ii, seed, tr)
+	tr.EndPhase(obs.PhaseAssign, ii, ta, aok)
 	if !aok {
-		return nil, nil, p.Partial(), false
+		return nil, nil, s.prob.Partial()
 	}
 	in := sched.Input{
 		Graph:       res.Graph,
-		Machine:     sr.s.m,
+		Machine:     s.m,
 		ClusterOf:   res.ClusterOf,
 		CopyTargets: res.CopyTargets,
 		II:          ii,
-		Trace:       ptr,
-		Scratch:     sc,
+		Trace:       tr,
+		Scratch:     &s.sc,
 	}
 	var (
 		sch *sched.Schedule
 		sok bool
 	)
-	ts := ptr.BeginPhase(obs.PhaseSched, ii)
-	switch sr.s.opts.Scheduler {
+	ts := tr.BeginPhase(obs.PhaseSched, ii)
+	switch s.opts.Scheduler {
 	case SMS:
-		sch, sok = sched.SMS(in, sr.s.opts.SchedBudgetRatio)
+		sch, sok = sched.SMS(in, s.opts.SchedBudgetRatio)
 	default:
-		sch, sok = sched.IMS(in, sr.s.opts.SchedBudgetRatio)
+		sch, sok = sched.IMS(in, s.opts.SchedBudgetRatio)
 	}
-	ptr.EndPhase(obs.PhaseSched, ii, ts, sok)
+	tr.EndPhase(obs.PhaseSched, ii, ts, sok)
 	if !sok {
-		return res, nil, res.ClusterOf[:res.NumOriginal], false
+		return res, nil, res.ClusterOf[:res.NumOriginal]
 	}
-	return res, sch, nil, true
+	return res, sch, nil
 }
 
 // BatchResult is one loop's result within RunBatch, in input order.
@@ -388,10 +219,6 @@ type BatchResult struct {
 // worker. Results come back in input order and are byte-identical to
 // calling RunContext(ctx, loop, m, opts) per loop — worker count
 // changes only wall-clock time. workers <= 0 selects GOMAXPROCS.
-//
-// Speculative probing and batch sharding compose but multiply
-// goroutines; batch callers normally leave Options.SpeculativeWorkers
-// at 1 and let loop-level parallelism fill the machine.
 func RunBatch(ctx context.Context, loops []*ddg.Graph, m *machine.Config, opts Options, workers int) []BatchResult {
 	if ctx == nil {
 		ctx = context.Background()

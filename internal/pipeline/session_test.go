@@ -2,12 +2,14 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"clustersched/internal/assign"
+	"clustersched/internal/ddg"
 	"clustersched/internal/loopgen"
 	"clustersched/internal/machine"
 	"clustersched/internal/obs"
@@ -17,7 +19,7 @@ import (
 
 // searchMachines are deliberately narrow, so a good fraction of the
 // synthetic loops fail at MII and the II search actually escalates —
-// the regime where warm starts and speculation do something.
+// the regime where warm starts do something.
 func searchMachines() []*machine.Config {
 	return []*machine.Config{
 		machine.NewBusedGP(2, 1, 1),
@@ -26,10 +28,8 @@ func searchMachines() []*machine.Config {
 }
 
 // behavioralStats strips the fields excluded from the determinism
-// contract (docs/OBSERVABILITY.md): wall-clock phase times, and the
-// speculation accounting that exists only in parallel mode.
+// contract (docs/OBSERVABILITY.md): the wall-clock phase times.
 func behavioralStats(st obs.Stats) obs.Stats {
-	st.IISpeculativeWins, st.IISpeculativeWasted = 0, 0
 	st.MIITime, st.AssignTime, st.SchedTime = 0, 0, 0
 	return st
 }
@@ -56,48 +56,6 @@ func diffOutcomes(a, b *Outcome) error {
 		return fmt.Errorf("stats {%s} vs {%s}", behavioralStats(a.Stats), behavioralStats(b.Stats))
 	}
 	return nil
-}
-
-// TestSpeculativeSearchDifferential is the determinism contract:
-// evaluating probe windows on parallel workers must commit outcomes —
-// II, assignment, schedule, copies, and every behavioral counter —
-// byte-identical to the sequential walk, loop for loop.
-func TestSpeculativeSearchDifferential(t *testing.T) {
-	loops := loopgen.Suite(loopgen.Options{Seed: 33, Count: 50})
-	var agg obs.Stats
-	for _, m := range searchMachines() {
-		base := Options{
-			Assign:       assign.Options{Variant: assign.HeuristicIterative},
-			CollectStats: true,
-			MaxIISlack:   16,
-		}
-		spec := base
-		spec.SpeculativeWorkers = 4
-		seqS := NewSession(m, base)
-		parS := NewSession(m, spec)
-		for i, g := range loops {
-			so, serr := seqS.Schedule(context.Background(), g)
-			po, perr := parS.Schedule(context.Background(), g)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("%s loop %d: sequential err %v, speculative err %v", m.Name, i, serr, perr)
-			}
-			if serr != nil {
-				if serr.Error() != perr.Error() {
-					t.Errorf("%s loop %d: error mismatch: %q vs %q", m.Name, i, serr, perr)
-				}
-				continue
-			}
-			if err := diffOutcomes(so, po); err != nil {
-				t.Errorf("%s loop %d: sequential vs speculative: %v", m.Name, i, err)
-			}
-			agg.Add(so.Stats)
-		}
-	}
-	// The comparison is vacuous if nothing escalated; the narrow
-	// machines must have forced warm-started probes somewhere.
-	if agg.IIWarmStarts == 0 {
-		t.Error("suite never warm-started; machines not narrow enough for this test")
-	}
 }
 
 // TestWarmStartNeverRaisesII checks the warm-start soundness
@@ -228,10 +186,9 @@ func TestSessionReuseMatchesFreshSessions(t *testing.T) {
 }
 
 // FuzzPipelineWarmStart feeds random loops and machines through the
-// sequential warm search, the speculative search, and the scratch
-// (warm-disabled) search: speculative must be byte-identical to
-// sequential, warm must succeed whenever scratch does without raising
-// the II, and every schedule must pass independent verification.
+// warm search and the scratch (warm-disabled) search: warm must
+// succeed whenever scratch does without raising the II, and every
+// schedule must pass independent verification.
 func FuzzPipelineWarmStart(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1))
@@ -252,25 +209,12 @@ func FuzzPipelineWarmStart(f *testing.F) {
 			CollectStats: true,
 			MaxIISlack:   16,
 		}
-		specOpts := warmOpts
-		specOpts.SpeculativeWorkers = 3
 		coldOpts := warmOpts
 		coldOpts.DisableWarmStart = true
 
 		wo, werr := NewSession(m, warmOpts).Schedule(context.Background(), g)
-		po, perr := NewSession(m, specOpts).Schedule(context.Background(), g)
 		co, cerr := NewSession(m, coldOpts).Schedule(context.Background(), g)
 
-		if (werr == nil) != (perr == nil) {
-			t.Fatalf("sequential err %v, speculative err %v", werr, perr)
-		}
-		if werr == nil {
-			if err := diffOutcomes(wo, po); err != nil {
-				t.Fatalf("sequential vs speculative: %v", err)
-			}
-		} else if werr.Error() != perr.Error() {
-			t.Fatalf("error mismatch: %q vs %q", werr, perr)
-		}
 		if cerr == nil && werr != nil {
 			t.Fatalf("scratch found II %d but warm search failed: %v", co.II, werr)
 		}
@@ -344,4 +288,51 @@ func BenchmarkSessionSchedule(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestCancelBetweenCandidates checks the RunContext promise that
+// cancellation takes effect between II candidates: an observer that
+// cancels on the MII+1 candidate event must see no candidate after it.
+func TestCancelBetweenCandidates(t *testing.T) {
+	m := machine.NewBusedGP(2, 1, 1)
+	opts := Options{Assign: assign.Options{Variant: assign.HeuristicIterative}}
+	var g *ddg.Graph
+	var mii int
+	for _, l := range loopgen.Suite(loopgen.Options{Seed: 33, Count: 200}) {
+		out, err := RunContext(context.Background(), l, m, opts)
+		if err == nil && out.II > out.MII {
+			g, mii = l, out.MII
+			break
+		}
+	}
+	if g == nil {
+		t.Fatal("no suite loop escalates past its MII on the narrow machine")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var after []int
+	canceled := false
+	opts.Observer = obs.ObserverFunc(func(e obs.Event) {
+		if e.Kind != obs.KindIICandidate {
+			return
+		}
+		if canceled {
+			after = append(after, e.II)
+		}
+		if e.II == mii+1 {
+			canceled = true
+			cancel()
+		}
+	})
+	_, err := RunContext(ctx, g, m, opts)
+	if !canceled {
+		t.Fatalf("search never reached candidate MII+1 = %d", mii+1)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(after) > 0 {
+		t.Fatalf("candidates %v probed after cancellation at II %d", after, mii+1)
+	}
 }

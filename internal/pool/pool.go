@@ -1,6 +1,8 @@
 // Package pool is the bounded worker pool shared by the experiment and
-// design-space harnesses: fan-out over an index range, capped at
-// GOMAXPROCS goroutines, with context-based early abort. It replaces
+// design-space harnesses, the batch scheduler, and the compile
+// executor: fan-out over an index range on a bounded set of
+// goroutines, with context-based early abort (ForEach) or a sink on
+// the caller's goroutine for streamed results (Stream). It replaces
 // ad-hoc goroutine fan-outs so that concurrency in this repository is
 // bounded in exactly one place.
 package pool

@@ -6,14 +6,18 @@ set -eu
 
 go build ./...
 go vet ./...
+# perfbench is a module of its own, so the root build skips it; it
+# imports the pipeline and compile APIs, so build and vet it here to
+# catch API drift. (Its tests are the benchmark's own, run separately.)
+(cd perfbench && go build -o /dev/null ./... && go vet ./...)
 go test ./...
 # Static determinism/zero-alloc gate: schedvet must run clean over the
 # whole module (an //schedvet:alloc-free function gaining an allocation
 # or a critical package gaining an unordered map range fails here).
 go run ./cmd/schedvet ./...
 # Race pass over every package that runs goroutines (worker pools,
-# shared observers, the daemon and its cache, the speculative II
-# search and batch sharding) plus the public API that feeds them, and
+# shared observers, the daemon and its cache, batch sharding, and the
+# whole-loop compile workers) plus the public API that feeds them, and
 # the assignment engine's differential/fuzz-seed tests.
 go test -race ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ .
 # Compile-corpus oracle: every kernel the streaming executor emits for
