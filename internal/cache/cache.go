@@ -12,6 +12,12 @@
 // same key waits for that one result instead of running the pipeline
 // again. Hit, miss, coalesced-wait, and eviction counters are exposed
 // through Stats for the daemon's /statsz endpoint.
+//
+// Besides values, a shard holds aliases: a second lookup name (the
+// daemon uses the SHA-256 of a request's raw body) that resolves to a
+// canonical key. Aliases live in the same LRU lists and byte budget as
+// values, so they add no bound of their own. They are not values:
+// Entries, Evictions and the lookup counters leave them out.
 package cache
 
 import (
@@ -20,7 +26,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"hash/fnv"
 	"io"
 	"sync"
 
@@ -137,6 +142,7 @@ type ShardStats struct {
 	Coalesced uint64 `json:"coalesced"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
+	Aliases   int    `json:"aliases"`
 	Bytes     int64  `json:"bytes"`
 }
 
@@ -153,9 +159,10 @@ type Stats struct {
 	// Evictions counts entries dropped to keep shards inside the byte
 	// budget.
 	Evictions uint64 `json:"evictions"`
-	// Entries and Bytes describe the current contents; MaxBytes is the
-	// configured budget.
+	// Entries and Aliases count the stored values and aliases; Bytes
+	// is what both are charged against the budget, MaxBytes.
 	Entries  int   `json:"entries"`
+	Aliases  int   `json:"aliases"`
 	Bytes    int64 `json:"bytes"`
 	MaxBytes int64 `json:"max_bytes"`
 	// Shards is the per-shard breakdown, populated by StatsDetail only
@@ -198,9 +205,20 @@ func New(maxBytes int64) *Cache {
 }
 
 type entry struct {
-	key        string
-	val        []byte
+	key string
+	val []byte
+	// target is an alias's canonical key; empty for a value entry.
+	target     string
 	next, prev *entry // LRU list: next is colder, prev is hotter
+}
+
+// cost is what the entry is charged against its shard's budget.
+func (e *entry) cost() int64 { return entryCost(e.key, len(e.val)+len(e.target)) }
+
+// entryCost is the charge for an entry under key with size bytes of
+// value or alias target.
+func entryCost(key string, size int) int64 {
+	return int64(len(key)) + int64(size) + entryOverhead
 }
 
 type call struct {
@@ -210,9 +228,10 @@ type call struct {
 }
 
 type shard struct {
-	mu     sync.Mutex
-	items  map[string]*entry
-	flight map[string]*call
+	mu      sync.Mutex
+	items   map[string]*entry
+	aliases map[string]*entry
+	flight  map[string]*call
 	// head is hottest, tail coldest; nil when empty.
 	head, tail *entry
 	bytes      int64
@@ -222,13 +241,24 @@ type shard struct {
 
 func (s *shard) init() {
 	s.items = make(map[string]*entry)
+	s.aliases = make(map[string]*entry)
 	s.flight = make(map[string]*call)
 }
 
+// shardIndex is the 32-bit FNV-1a hash of key (hash/fnv's New32a,
+// inlined so a lookup allocates nothing) reduced to a shard number.
+func shardIndex(key string) uint32 {
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= prime32
+	}
+	return h % numShards
+}
+
 func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New32a()
-	io.WriteString(h, key)
-	return &c.shards[h.Sum32()%numShards]
+	return &c.shards[shardIndex(key)]
 }
 
 // GetOrCompute returns the cached value for key, or runs fn once to
@@ -288,7 +318,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func(context.Co
 		s.mu.Lock()
 		delete(s.flight, key)
 		if cl.err == nil {
-			s.insertLocked(key, cl.val, c.maxShardBytes)
+			s.putLocked(s.items, key, cl.val, "", c.maxShardBytes)
 		}
 		s.mu.Unlock()
 		close(cl.done)
@@ -309,6 +339,39 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// Alias records that the lookup name alias resolves to the canonical
+// key, so that GetAlias(alias) finds key's value. The alias is stored
+// in its own shard as an entry of the LRU list, charged against the
+// byte budget like a value and evicted like one. An empty key records
+// nothing.
+func (c *Cache) Alias(alias, key string) {
+	if key == "" {
+		return
+	}
+	s := c.shardFor(alias)
+	s.mu.Lock()
+	s.putLocked(s.aliases, alias, nil, key, c.maxShardBytes)
+	s.mu.Unlock()
+}
+
+// GetAlias returns the value stored under the canonical key alias
+// resolves to, counting one hit like Get. When the alias is unknown,
+// or its key's value is no longer stored, it returns false and counts
+// nothing, so the caller's fallback lookup is the one that counts.
+func (c *Cache) GetAlias(alias string) ([]byte, bool) {
+	s := c.shardFor(alias)
+	s.mu.Lock()
+	e, ok := s.aliases[alias]
+	if !ok {
+		s.mu.Unlock()
+		return nil, false
+	}
+	s.moveToFrontLocked(e)
+	key := e.target
+	s.mu.Unlock()
+	return c.Get(key)
+}
+
 // Stats sums every shard's counters.
 func (c *Cache) Stats() Stats {
 	st := Stats{MaxBytes: c.maxBytes}
@@ -320,6 +383,7 @@ func (c *Cache) Stats() Stats {
 		st.Coalesced += s.coalesced
 		st.Evictions += s.evictions
 		st.Entries += len(s.items)
+		st.Aliases += len(s.aliases)
 		st.Bytes += s.bytes
 		s.mu.Unlock()
 	}
@@ -341,6 +405,7 @@ func (c *Cache) StatsDetail() Stats {
 			Coalesced: s.coalesced,
 			Evictions: s.evictions,
 			Entries:   len(s.items),
+			Aliases:   len(s.aliases),
 			Bytes:     s.bytes,
 		}
 		s.mu.Unlock()
@@ -350,32 +415,30 @@ func (c *Cache) StatsDetail() Stats {
 		st.Coalesced += row.Coalesced
 		st.Evictions += row.Evictions
 		st.Entries += row.Entries
+		st.Aliases += row.Aliases
 		st.Bytes += row.Bytes
 	}
 	return st
 }
 
-func entryCost(key string, val []byte) int64 {
-	return int64(len(key)) + int64(len(val)) + entryOverhead
-}
-
-// insertLocked stores the value and evicts from the cold end until the
-// shard fits its budget again. Oversized values are not stored at all.
-func (s *shard) insertLocked(key string, val []byte, maxBytes int64) {
-	cost := entryCost(key, val)
-	if cost > maxBytes {
+// putLocked stores an entry under key in m (s.items for a value,
+// s.aliases for an alias) and evicts from the cold end until the shard
+// fits its budget again. Oversized entries are not stored at all.
+func (s *shard) putLocked(m map[string]*entry, key string, val []byte, target string, maxBytes int64) {
+	if entryCost(key, len(val)+len(target)) > maxBytes {
 		return
 	}
-	if e, ok := s.items[key]; ok { // racing leaders after a retry
-		s.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
+	e, ok := m[key]
+	if ok { // racing leaders after a retry, or a re-recorded alias
+		s.bytes -= e.cost()
 		s.moveToFrontLocked(e)
 	} else {
-		e = &entry{key: key, val: val}
-		s.items[key] = e
-		s.bytes += cost
+		e = &entry{key: key}
+		m[key] = e
 		s.pushFrontLocked(e)
 	}
+	e.val, e.target = val, target
+	s.bytes += e.cost()
 	for s.bytes > maxBytes && s.tail != nil {
 		s.evictLocked(s.tail)
 	}
@@ -383,9 +446,13 @@ func (s *shard) insertLocked(key string, val []byte, maxBytes int64) {
 
 func (s *shard) evictLocked(e *entry) {
 	s.unlinkLocked(e)
-	delete(s.items, e.key)
-	s.bytes -= entryCost(e.key, e.val)
-	s.evictions++
+	if e.target != "" {
+		delete(s.aliases, e.key)
+	} else {
+		delete(s.items, e.key)
+		s.evictions++
+	}
+	s.bytes -= e.cost()
 }
 
 func (s *shard) pushFrontLocked(e *entry) {

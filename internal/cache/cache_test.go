@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -289,5 +291,114 @@ func TestWaiterOwnContextCancel(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want canceled", err)
+	}
+}
+
+// TestShardIndexMatchesFNV pins the inlined FNV-1a against hash/fnv:
+// every key must keep the shard it had, so the per-shard /statsz and
+// /fleetz rows do not move.
+func TestShardIndexMatchesFNV(t *testing.T) {
+	want := map[string]uint32{
+		"":         5, // the FNV-1a offset basis 2166136261, mod 16
+		"k1":       1,
+		"key-0000": 3,
+		"7d865e959b2466918c9863afca942d0fb89d7c9ac0c99bafc3749504ded97730": 4,
+	}
+	for key, pinned := range want {
+		h := fnv.New32a()
+		io.WriteString(h, key)
+		if ref := h.Sum32() % numShards; ref != pinned {
+			t.Fatalf("test table wrong for %q: hash/fnv gives shard %d, table says %d", key, ref, pinned)
+		}
+		if got := shardIndex(key); got != pinned {
+			t.Errorf("shardIndex(%q) = %d, want %d (hash/fnv)", key, got, pinned)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		h := fnv.New32a()
+		io.WriteString(h, key)
+		if got, ref := shardIndex(key), h.Sum32()%numShards; got != ref {
+			t.Fatalf("shardIndex(%q) = %d, hash/fnv gives %d", key, got, ref)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { shardIndex("k1") }); n != 0 {
+		t.Errorf("shardIndex allocates %.0f times per call, want 0", n)
+	}
+}
+
+// TestAliasResolvesAndCountsOnce checks the alias lookup: it finds
+// the canonical key's value and counts one hit, and a dangling or
+// unknown alias counts nothing.
+func TestAliasResolvesAndCountsOnce(t *testing.T) {
+	c := New(1 << 20)
+	fill := func(context.Context) ([]byte, error) { return []byte("result"), nil }
+	if _, _, err := c.GetOrCompute(context.Background(), "canonical", fill); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.GetAlias("spelling"); ok {
+		t.Fatal("unknown alias resolved")
+	}
+	c.Alias("spelling", "canonical")
+	c.Alias("dangling", "never-stored")
+	c.Alias("empty", "")
+	v, ok := c.GetAlias("spelling")
+	if !ok || string(v) != "result" {
+		t.Fatalf("GetAlias = (%q, %v), want (result, true)", v, ok)
+	}
+	if _, ok := c.GetAlias("dangling"); ok {
+		t.Error("alias of an unstored key resolved")
+	}
+	if _, ok := c.GetAlias("empty"); ok {
+		t.Error("alias to an empty key was recorded")
+	}
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.Coalesced != 0 {
+		t.Errorf("stats = %+v, want 1 hit and 1 miss (a failed alias lookup counts nothing)", st)
+	}
+	if st.Entries != 1 || st.Aliases != 2 {
+		t.Errorf("entries %d, aliases %d; want 1 and 2", st.Entries, st.Aliases)
+	}
+	if want := entryCost("canonical", len("result")) + entryCost("spelling", len("canonical")) + entryCost("dangling", len("never-stored")); st.Bytes != want {
+		t.Errorf("bytes = %d, want %d (aliases are charged)", st.Bytes, want)
+	}
+	// Re-recording an alias replaces it in place.
+	c.Alias("spelling", "canonical")
+	if st2 := c.Stats(); st2.Aliases != 2 || st2.Bytes != st.Bytes {
+		t.Errorf("re-recorded alias: aliases %d bytes %d, want 2 and %d", st2.Aliases, st2.Bytes, st.Bytes)
+	}
+}
+
+// TestAliasesShareTheBudget fills a small cache with aliases alone:
+// they are evicted from the LRU to keep every shard in budget, and
+// they push out the value whose shard they crowd, which then counts
+// as that value's one eviction.
+func TestAliasesShareTheBudget(t *testing.T) {
+	const budget = numShards * 1024
+	c := New(budget)
+	if _, _, err := c.GetOrCompute(context.Background(), "canonical", func(context.Context) ([]byte, error) {
+		return make([]byte, 256), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	for i := 0; i < n; i++ {
+		c.Alias(fmt.Sprintf("alias-%04d", i), "canonical")
+	}
+	st := c.Stats()
+	if st.Bytes > budget {
+		t.Errorf("cache holds %d bytes, budget %d", st.Bytes, budget)
+	}
+	if st.Aliases == 0 || st.Aliases >= n {
+		t.Errorf("%d of %d aliases kept, want some evicted and some kept", st.Aliases, n)
+	}
+	if st.Entries != 0 || st.Evictions != 1 {
+		t.Errorf("entries %d, evictions %d; want the value evicted once by the aliases", st.Entries, st.Evictions)
+	}
+	if _, ok := c.GetAlias(fmt.Sprintf("alias-%04d", n-1)); ok {
+		t.Error("alias resolved to an evicted value")
+	}
+	if st2 := c.Stats(); st2.Hits != 0 || st2.Misses != 1 {
+		t.Errorf("stats = %+v, want only the fill's miss", st2)
 	}
 }

@@ -17,11 +17,15 @@
 // the cache stores the encoded response body, and the X-Cache response
 // header says whether a request was a miss (this request ran the
 // pipeline), a hit (served from the store), or coalesced (shared the
-// result of a concurrent identical request).
+// result of a concurrent identical request). A /v1/schedule body seen
+// before is a hit without being decoded: the SHA-256 of its raw bytes
+// is an alias of the canonical key its first request resolved to.
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -186,14 +190,35 @@ func scheduleErrorStatus(err error) int {
 	}
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+// readBody reads the whole request body, up to maxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // room to read EOF without regrowing
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeJSON decodes the first JSON value of body into v, rejecting
+// unknown fields.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
+}
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(body, v)
 }
 
 // scheduleJob is one resolved schedule request: the loop, the machine,
@@ -415,8 +440,23 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	raw, err := readBody(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// The canonical key is a pure function of the body bytes, so a body
+	// that resolved to a key before may skip straight to that key's
+	// stored reply.
+	sum := sha256.Sum256(raw)
+	alias := string(sum[:])
+	if body, ok := s.cache.GetAlias(alias); ok {
+		writeSchedule(w, cache.Hit, body)
+		return
+	}
+
 	var req ScheduleRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeJSON(raw, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -443,6 +483,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, scheduleErrorStatus(err), err)
 		return
 	}
+	// Only a request that succeeded is aliased, so a bad body is
+	// re-checked, and rejected the same way, every time.
+	s.cache.Alias(alias, job.key)
+	writeSchedule(w, src, body)
+}
+
+// writeSchedule writes an encoded ScheduleResponse with its X-Cache
+// source.
+func writeSchedule(w http.ResponseWriter, src cache.Source, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", src.String())
 	w.WriteHeader(http.StatusOK)

@@ -608,9 +608,12 @@ func BenchmarkServerCold(b *testing.B) {
 	}
 }
 
-// BenchmarkServerCached repeats one request: after the first miss,
-// every iteration is a cache hit. The acceptance bar is >= 10x the
-// cold throughput on the same loop.
+// BenchmarkServerCached repeats one request over the same loopback
+// HTTP client as BenchmarkServerCold: after the first miss, every
+// iteration is an exact-repeat hit (the raw body's alias, then the
+// stored reply). Its ns/op against BenchmarkServerCold's is the
+// cached-to-cold ratio recorded in docs/PERF.md; nothing here asserts
+// a ratio.
 func BenchmarkServerCached(b *testing.B) {
 	c, _ := newTestServer(b, server.Config{})
 	req := server.ScheduleRequest{DDG: bigLoopDDG(b), Machine: "gp:2:2:1", Name: "big"}
