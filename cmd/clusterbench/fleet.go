@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -17,13 +19,12 @@ import (
 	"clustersched/internal/server"
 )
 
-// Fleet mode (scripts/bench.sh -fleet): replay the synthetic suite
-// through a running clusterlb — one cold pass, one identical cached
-// pass — and emit a JSON summary with per-request latency quantiles
-// and the balancer's hedge/failover counters. scripts/bench.sh
-// redirects this into BENCH_fleet.json; when a committed
-// BENCH_fleet.json exists, the fresh cached p99 is also diffed
-// against it under -basetol, same contract as -baseline.
+// Fleet mode (scripts/bench.sh): replay the synthetic suite through a
+// running clusterlb — one cold pass, then identical cached passes —
+// and emit a JSON summary with per-request latency quantiles and the
+// balancer's hedge/failover counters. scripts/bench.sh redirects this
+// into BENCH_fleet.json; when a committed BENCH_fleet.json exists, the
+// fresh cached p50 is also diffed against it under -basetol.
 
 // fleetSummary is the BENCH_fleet.json shape.
 type fleetSummary struct {
@@ -36,6 +37,7 @@ type fleetSummary struct {
 	ColdP50NS    int64   `json:"cold_p50_ns"`
 	ColdP99NS    int64   `json:"cold_p99_ns"`
 	ColdRPS      float64 `json:"cold_rps"`
+	ColdHits     int     `json:"cold_hits"`
 	ColdFailed   int     `json:"cold_failed"`
 	CachedP50NS  int64   `json:"cached_p50_ns"`
 	CachedP99NS  int64   `json:"cached_p99_ns"`
@@ -53,14 +55,14 @@ type fleetSummary struct {
 }
 
 // fleetReplay drives a running clusterlb with the synthetic suite and
-// writes the summary JSON to stdout. The cold pass runs once (a
-// repeat would be cached); the cached pass runs reps times and each
-// request's latency is its minimum across passes — the
-// least-interfered estimate, same reasoning as -benchjson. With a
-// committed BENCH_fleet.json present the cached p50 is gated against
-// it (tol as in -baseline); requireBase errors if the committed file
-// is missing, used when -basetol was passed explicitly.
-func fleetReplay(ctx context.Context, baseURL string, loops []*ddg.Graph, scheduler string, reps int, tol float64, requireBase bool) error {
+// writes the summary JSON to out. The cold pass runs once (a repeat
+// would be cached); the cached pass runs reps times and each request's
+// latency is its minimum across passes — the least-interfered
+// estimate on a time-shared host. With a committed BENCH_fleet.json
+// present the cached p50 is gated against it (tol is the allowed
+// fractional regression); requireBase errors if the committed file is
+// missing, used when -basetol was passed explicitly.
+func fleetReplay(ctx context.Context, out io.Writer, baseURL string, loops []*ddg.Graph, scheduler string, reps int, tol float64, requireBase bool) error {
 	c := client.New(baseURL, nil)
 	if err := c.Health(ctx); err != nil {
 		return fmt.Errorf("no clusterlb at %s: %w", baseURL, err)
@@ -98,7 +100,7 @@ func fleetReplay(ctx context.Context, baseURL string, loops []*ddg.Graph, schedu
 		return lat, time.Since(start), hits, failed, nil
 	}
 
-	coldLat, coldNS, _, coldFailed, err := pass()
+	coldLat, coldNS, coldHits, coldFailed, err := pass()
 	if err != nil {
 		return err
 	}
@@ -152,6 +154,7 @@ func fleetReplay(ctx context.Context, baseURL string, loops []*ddg.Graph, schedu
 		ColdP50NS:  quantileNS(coldLat, 0.50),
 		ColdP99NS:  quantileNS(coldLat, 0.99),
 		ColdRPS:    rps(coldNS),
+		ColdHits:   coldHits,
 		ColdFailed: coldFailed,
 
 		CachedP50NS:  quantileNS(cachedLat, 0.50),
@@ -171,7 +174,7 @@ func fleetReplay(ctx context.Context, baseURL string, loops []*ddg.Graph, schedu
 		summary.HedgeWinRate = float64(stats.Fleet.HedgeWins) / float64(stats.Fleet.Hedges)
 	}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(summary); err != nil {
 		return err
@@ -180,7 +183,7 @@ func fleetReplay(ctx context.Context, baseURL string, loops []*ddg.Graph, schedu
 }
 
 // fleetGate diffs the fresh cached p50 against the committed
-// BENCH_fleet.json, mirroring the -baseline contract: tolerance is
+// BENCH_fleet.json in the working directory: tolerance is
 // multiplicative headroom, regression exits non-zero. The gate reads
 // the median, not the tail — p99 over a few hundred local requests
 // swings far past any usable tolerance on a time-shared host, while
@@ -188,13 +191,17 @@ func fleetReplay(ctx context.Context, baseURL string, loops []*ddg.Graph, schedu
 // missing committed file is an error only when the caller demanded
 // the gate.
 func fleetGate(fresh fleetSummary, tol float64, requireBase bool) error {
-	var committed fleetSummary
-	if err := readJSON("BENCH_fleet.json", &committed); err != nil {
+	data, err := os.ReadFile("BENCH_fleet.json")
+	if err != nil {
 		if requireBase {
-			return err
+			return fmt.Errorf("fleet: %w (run scripts/bench.sh from the repository root)", err)
 		}
 		fmt.Fprintln(os.Stderr, "fleet: no committed BENCH_fleet.json, skipping the regression gate")
 		return nil
+	}
+	var committed fleetSummary
+	if err := json.Unmarshal(data, &committed); err != nil {
+		return fmt.Errorf("fleet: BENCH_fleet.json: %w", err)
 	}
 	limit := int64(float64(committed.CachedP50NS) * (1 + tol))
 	verdict := "ok"
@@ -232,13 +239,15 @@ func fleetStatsz(ctx context.Context, baseURL string) (*balance.StatszResponse, 
 }
 
 // quantileNS returns the q-quantile of the latency sample in
-// nanoseconds (nearest-rank on the sorted copy).
+// nanoseconds by nearest rank: the smallest sample with at least a
+// q share of the sample at or below it, rank ceil(q·n).
 func quantileNS(lat []time.Duration, q float64) int64 {
 	if len(lat) == 0 {
 		return 0
 	}
 	buf := append([]time.Duration(nil), lat...)
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := int(q * float64(len(buf)-1))
+	idx := int(math.Ceil(q*float64(len(buf)))) - 1
+	idx = max(0, min(idx, len(buf)-1))
 	return buf[idx].Nanoseconds()
 }

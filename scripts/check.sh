@@ -32,11 +32,9 @@ go test -run 'TestCorpusSchedulesAndSimValidates|TestLivermoreValueDifferential'
 go test -run xxx -bench . -benchtime 2x ./internal/assign/
 go test -run xxx -bench 'BenchmarkRunBatch|BenchmarkSessionSchedule' -benchtime 1x ./internal/pipeline/
 go test -run xxx -bench 'BenchmarkServerCold|BenchmarkServerCached' -benchtime 1x ./internal/server/
-# Baseline-gate smoke: exercises the bench.sh -baseline plumbing (fresh
-# runs parsed and diffed against the committed BENCH JSONs) on a short
-# suite. The loose tolerance keeps a time-shared host from flaking the
-# tier-1 gate; the strict 10% gate is  sh scripts/bench.sh -baseline.
-go run ./cmd/clusterbench -baseline -count 60 -benchreps 2 -basetol 5.0
+# Daemon smoke: a real clusterd process serves the same request as a
+# miss, then as a byte-identical hit, and drains on SIGTERM.
+sh scripts/serve.sh
 # Fleet kill-a-worker smoke: the multi-process e2e boots a clusterlb
 # over three real clusterd processes, SIGKILLs one mid-load, and
 # requires every reply to complete byte-identical to a single-node

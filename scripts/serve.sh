@@ -1,17 +1,19 @@
 #!/bin/sh
-# Daemon smoke test: start clusterd on a free port, schedule the same
-# loop twice through the HTTP API, and assert the second request was a
-# cache hit; then check the daemon drains cleanly on SIGTERM.
+# Daemon smoke test: start clusterd on a free port, POST the same
+# /v1/schedule request twice, and assert the first is a cache miss, the
+# second a hit, and both bodies byte-identical; then check the daemon
+# drains cleanly on SIGTERM.
 # Run from the repository root:  sh scripts/serve.sh
 set -eu
 
 LOG="$(mktemp)"
+DIR="$(mktemp -d)"
 BIN="${TMPDIR:-/tmp}/clusterd.smoke"
 
 go build -o "$BIN" ./cmd/clusterd
 "$BIN" -addr 127.0.0.1:0 > "$LOG" 2>&1 &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true' EXIT
+trap 'kill "$PID" 2>/dev/null || true; rm -rf "$DIR" "$LOG"' EXIT
 
 URL=""
 for _ in $(seq 1 50); do
@@ -22,14 +24,19 @@ done
 [ -n "$URL" ] || { echo "serve: clusterd did not start"; cat "$LOG"; exit 1; }
 echo "serve: daemon at $URL"
 
-# Two identical passes over a tiny suite: every loop must be a cache
-# miss the first time and a hit the second. The replay summary reports
-# both, so one grep each proves the cache is doing its job.
-OUT="$(go run ./cmd/clusterbench -server "$URL" -count 5)"
-echo "$OUT"
-echo "$OUT" | grep -q '"cold_hits": 0'    || { echo "serve: FAIL: cold pass hit the cache"; exit 1; }
-echo "$OUT" | grep -q '"cached_hits": 5'  || { echo "serve: FAIL: warm pass missed the cache"; exit 1; }
-echo "$OUT" | grep -q '"cached_failed": 0' || { echo "serve: FAIL: warm pass had errors"; exit 1; }
+# The docs/SERVICE.md example request, twice: the first must be
+# scheduled (X-Cache: miss), the second served from the cache
+# (X-Cache: hit) with exactly the bytes the first returned.
+REQ='{"machine": "gp:2:2:1", "source": "loop dot { s = s + a[i]*b[i] }"}'
+for pass in 1 2; do
+    curl -sS -f -D "$DIR/h$pass" -o "$DIR/b$pass" -d "$REQ" "$URL/v1/schedule" \
+        || { echo "serve: FAIL: request $pass failed"; exit 1; }
+done
+cat "$DIR/b1"; echo
+xcache() { tr -d '\r' < "$1" | sed -n 's/^[Xx]-[Cc]ache: //p'; }
+[ "$(xcache "$DIR/h1")" = miss ] || { echo "serve: FAIL: first request was not a cache miss"; cat "$DIR/h1"; exit 1; }
+[ "$(xcache "$DIR/h2")" = hit ]  || { echo "serve: FAIL: repeat request missed the cache"; cat "$DIR/h2"; exit 1; }
+cmp -s "$DIR/b1" "$DIR/b2"      || { echo "serve: FAIL: cached body differs from the scheduled one"; exit 1; }
 
 # Graceful drain: SIGTERM must make the daemon exit by itself.
 kill -TERM "$PID"
