@@ -10,8 +10,9 @@ import (
 // engine is the incremental counterpart of derive(): it maintains the
 // capacity table, the copy structure, and the per-cluster PCR/PIC
 // aggregates as a function of the cluster vector, updating all of them
-// in O(degree) when a single node is assigned or removed instead of
-// replaying the whole graph.
+// in O(degree) when a single node is assigned instead of replaying the
+// whole graph. Unassignment (eviction, the per-II reset) rewrites the
+// cluster vector and resynchronizes with one rebuild.
 //
 // The central fact the engine exploits is that the copy structure is a
 // pure, deterministic function of the cluster vector: derive() visits
@@ -44,11 +45,10 @@ type engine struct {
 	a   *assigner
 	cap *mrt.Capacity
 
-	// capSave holds the counter snapshot taken at the top of apply.
-	// An apply that fails restores cap wholesale from it — a fixed-size
-	// memcpy via CopyFrom, cheaper than journaling every individual
-	// commit and release on the hot path when the only rollback ever
-	// needed is "back to the start of this apply".
+	// capSave holds the counter snapshot taken at the top of apply and
+	// probe. An apply that fails restores cap wholesale from it with
+	// one fixed-size CopyFrom: the only rollback ever needed is "back
+	// to the start of this apply", so no per-commit undo log is kept.
 	capSave *mrt.Capacity
 
 	copies  int
@@ -253,10 +253,9 @@ type probeResult struct {
 // mutating the record structures: it issues exactly the commit/release
 // sequence apply would (so feasibility is byte-identical), reads the
 // selection metrics, computes the aggregate deltas arithmetically, and
-// restores the capacity table from the snapshot. Where evaluate
-// previously paid apply+remove — deriving every affected producer's
-// records twice and reverting every aggregate — a probe leaves the
-// engine untouched.
+// restores the capacity table from the snapshot. A probe leaves the
+// engine untouched: evaluate never derives an affected producer's
+// records only to revert them.
 //
 //schedvet:alloc-free
 func (e *engine) probe(n, cl int) probeResult {
@@ -401,59 +400,10 @@ func (e *engine) walkProbe(p int) int {
 	return added
 }
 
-// remove unassigns node n (which must be assigned), the exact inverse
-// of apply. It cannot fail: the remaining copies are a subset of what
-// already fit.
-//
-//schedvet:alloc-free
-func (e *engine) remove(n int) {
-	a := e.a
-	cl := a.cluster[n]
-	v := a.g.NumNodes()
-
-	// Aggregates, mirroring apply in reverse order.
-	e.pcrSum[cl] -= e.contrib[n]
-	e.contrib[n] = 0
-	for _, q := range a.predsOf(n) {
-		idx := cl*v + q
-		e.inRef[idx]--
-		if e.inRef[idx] == 0 && a.cluster[q] < 0 {
-			e.picCnt[cl]--
-		}
-		e.usc[q]++
-	}
-	for c := 0; c < a.m.NumClusters(); c++ {
-		if e.inRef[c*v+n] > 0 {
-			e.picCnt[c]++
-		}
-	}
-
-	e.removeCopies(n)
-	for _, q := range a.predsOf(n) {
-		if q == n || a.cluster[q] < 0 {
-			continue
-		}
-		e.removeCopies(q)
-	}
-	e.cap.ReleaseOp(mrt.OpAt(n, cl, a.g.Nodes[n].Kind))
-	a.cluster[n] = -1
-	for _, q := range a.predsOf(n) {
-		if q == n || a.cluster[q] < 0 {
-			continue
-		}
-		added := e.walk(q, true)
-		if added < 0 {
-			panic("assign: engine re-place failed while removing a node")
-		}
-		e.copies += added
-		e.refreshContrib(q)
-	}
-}
-
 // replaceCopies re-derives producer p's copy records after one of its
 // consumers changed cluster: remove the old reservations, place the
-// new set. Reports false when the new set does not fit (the caller
-// rolls back via the journal).
+// new set. Reports false when the new set does not fit (apply then
+// restores the capacity table from capSave).
 //
 //schedvet:alloc-free
 func (e *engine) replaceCopies(p int) bool {

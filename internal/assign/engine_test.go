@@ -230,9 +230,11 @@ func checkEngineAgainstDerive(t *testing.T, a *assigner) {
 	}
 }
 
-// TestEngineInvariants drives the engine through random apply/remove
-// sequences and validates every maintained quantity against a scratch
-// derive after each step; failed applies must leave no trace.
+// TestEngineInvariants drives the engine through random sequences of
+// applies and unassignments (cluster[n] = -1 followed by rebuild, the
+// route forced placement takes for evictions) and validates every
+// maintained quantity against a scratch derive after each step; failed
+// applies must leave no trace.
 func TestEngineInvariants(t *testing.T) {
 	for mi, m := range diffMachines() {
 		rng := rand.New(rand.NewSource(int64(100 + mi)))
@@ -243,7 +245,10 @@ func TestEngineInvariants(t *testing.T) {
 			for step := 0; step < 120; step++ {
 				n := rng.Intn(g.NumNodes())
 				if a.cluster[n] >= 0 {
-					e.remove(n)
+					a.cluster[n] = -1
+					if !e.rebuild() {
+						t.Fatalf("rebuild failed after unassigning node %d", n)
+					}
 					checkEngineAgainstDerive(t, a)
 					continue
 				}
@@ -293,8 +298,9 @@ func FuzzAssignDifferential(f *testing.F) {
 
 // TestAssignSteadyStateAllocs pins the allocation behavior of the
 // steady-state evaluate/select/commit loop at zero: after the reusable
-// buffers reach their high-water marks, assigning and unassigning a
-// whole loop touches the heap not at all.
+// buffers reach their high-water marks, assigning a whole loop and
+// clearing it with the per-II reset the search uses touches the heap
+// not at all.
 func TestAssignSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; accounting is meaningless")
@@ -319,19 +325,12 @@ func TestAssignSteadyStateAllocs(t *testing.T) {
 			}
 			a.place(n, a.selectCluster(n, list, cands))
 		}
-		for n := g.NumNodes() - 1; n >= 0; n-- {
-			if a.cluster[n] >= 0 {
-				a.eng.remove(n)
-			}
-		}
+		a.reset(a.ii)
 	}
-	// Grow every reusable buffer to its high-water mark before
-	// measuring (AllocsPerRun's own warmup run is not always enough:
-	// the Section 4.3.2 prevMask bookkeeping shifts later passes onto
-	// slightly different placements).
-	for i := 0; i < 4; i++ {
-		cycle()
-	}
+	// The reset clears the Section 4.3.2 prevMask bookkeeping too, so
+	// every pass makes the same placements; one warm-up pass grows the
+	// reusable buffers to their high-water marks.
+	cycle()
 	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
 		t.Fatalf("steady-state evaluate/commit loop allocates %.1f times per pass, want 0", avg)
 	}

@@ -13,6 +13,14 @@ import (
 	"clustersched/internal/pipeline"
 )
 
+// maxSpecCount bounds every number of a machine spec. The cycle-exact
+// reservation table packs each resource family (function units and
+// ports of a cluster, buses, links) into 64-bit lane masks, and the
+// assigner keeps the clusters a node has tried in a 64-bit mask, so no
+// count above 64 can be scheduled; the bound also keeps a spec from
+// asking for an arbitrarily large machine.
+const maxSpecCount = 64
+
 // ParseMachine builds a machine from a spec string:
 //
 //	gp:<clusters>:<buses>:<ports>    bused general-purpose clusters
@@ -20,6 +28,8 @@ import (
 //	grid:<ports>                     the paper's 4-cluster grid
 //	ring:<clusters>:<ports>          point-to-point ring
 //	unified:<width>                  non-clustered baseline
+//
+// Every number must lie in 0..maxSpecCount.
 func ParseMachine(spec string) (*machine.Config, error) {
 	parts := strings.Split(spec, ":")
 	nums := make([]int, 0, 3)
@@ -27,6 +37,9 @@ func ParseMachine(spec string) (*machine.Config, error) {
 		v, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("bad machine spec %q: %q is not a number", spec, p)
+		}
+		if v < 0 || v > maxSpecCount {
+			return nil, fmt.Errorf("bad machine spec %q: %d is outside 0..%d", spec, v, maxSpecCount)
 		}
 		nums = append(nums, v)
 	}

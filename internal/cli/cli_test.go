@@ -21,6 +21,9 @@ func TestParseMachineSpecs(t *testing.T) {
 		{"grid:2", 4, machine.PointToPoint},
 		{"ring:6:2", 6, machine.PointToPoint},
 		{"unified:16", 1, machine.Broadcast},
+		{"gp:64:64:64", 64, machine.Broadcast},
+		{"ring:64:64", 64, machine.PointToPoint},
+		{"unified:64", 1, machine.Broadcast},
 	}
 	for _, tc := range cases {
 		m, err := ParseMachine(tc.spec)
@@ -41,6 +44,10 @@ func TestParseMachineErrors(t *testing.T) {
 	for _, spec := range []string{
 		"gp:2:2", "gp:a:b:c", "fs:1", "grid", "grid:1:2", "ring:4",
 		"unified", "vliw:4:4:2", "",
+		// Counts outside 0..64: negative, or beyond the 64-bit lane
+		// masks of the reservation table and the assigner.
+		"unified:-1", "gp:-1:1:1", "gp:2:65:1", "gp:2:1:65", "gp:65:1:1",
+		"ring:65:1", "grid:65", "unified:65", "gp:2:2:99999999999",
 	} {
 		if _, err := ParseMachine(spec); err == nil {
 			t.Errorf("ParseMachine(%q) accepted bad spec", spec)

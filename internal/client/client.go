@@ -1,7 +1,7 @@
 // Package client is the Go client for clusterd's HTTP API (package
-// server). It is used by the end-to-end tests and by clusterbench's
-// -server replay mode; the request and response types are the server's
-// own, so the two cannot drift apart.
+// server). The clusterlb balancer, clusterbench's -fleet replay and the
+// end-to-end tests use it; the request and response types are the
+// server's own, so the two cannot drift apart.
 package client
 
 import (

@@ -1,6 +1,6 @@
 // Unit tests for the daemon client against stub HTTP servers: error
 // mapping onto APIError, X-Cache header handling, context timeout
-// propagation, and the fleet transport's failover behavior. The real
+// propagation, and the /fleetz heartbeat decode. The real
 // daemon's end-to-end behavior is covered in internal/server's tests;
 // these pin the client's own contract.
 package client
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,11 +20,8 @@ import (
 
 // stubSchedule returns a handler serving a fixed ScheduleResponse
 // with the given X-Cache header.
-func stubSchedule(t *testing.T, xcache string, hits *atomic.Int64) http.HandlerFunc {
+func stubSchedule(t *testing.T, xcache string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if hits != nil {
-			hits.Add(1)
-		}
 		if r.Method != http.MethodPost || r.URL.Path != "/v1/schedule" {
 			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
 		}
@@ -51,7 +47,7 @@ func TestXCacheHeaderMapping(t *testing.T) {
 		{"coalesced", true},
 		{"", false},
 	} {
-		ts := httptest.NewServer(stubSchedule(t, tc.xcache, nil))
+		ts := httptest.NewServer(stubSchedule(t, tc.xcache))
 		c := New(ts.URL, ts.Client())
 		resp, cached, err := c.Schedule(context.Background(), server.ScheduleRequest{Machine: "gp:2:2:1"})
 		if err != nil {
@@ -136,67 +132,6 @@ func TestTimeoutPropagation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("timeout took %v, deadline did not propagate", elapsed)
-	}
-}
-
-func TestFleetFailover(t *testing.T) {
-	var hits atomic.Int64
-	alive := httptest.NewServer(stubSchedule(t, "hit", &hits))
-	defer alive.Close()
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close() // connection refused from now on
-
-	f, err := NewFleet([]string{dead.URL, alive.URL}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		resp, cached, err := f.Schedule(context.Background(), server.ScheduleRequest{Machine: "gp:2:2:1"})
-		if err != nil {
-			t.Fatalf("fleet schedule %d: %v", i, err)
-		}
-		if !cached || resp.Name != "stub" {
-			t.Errorf("fleet schedule %d: cached=%v resp=%+v", i, cached, resp)
-		}
-	}
-	if got := hits.Load(); got != 3 {
-		t.Errorf("alive endpoint served %d requests, want 3", got)
-	}
-}
-
-// TestFleetAPIErrorIsAuthoritative: an HTTP-level error reply must
-// not trigger failover — one endpoint answered, and that answer
-// stands.
-func TestFleetAPIErrorIsAuthoritative(t *testing.T) {
-	var first, second atomic.Int64
-	e1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		first.Add(1)
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		json.NewEncoder(w).Encode(server.ErrorResponse{Error: "nope"})
-	}))
-	defer e1.Close()
-	e2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		second.Add(1)
-	}))
-	defer e2.Close()
-
-	f, err := NewFleet([]string{e1.URL, e2.URL}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = f.Schedule(context.Background(), server.ScheduleRequest{Machine: "gp:2:2:1"})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
-		t.Fatalf("err = %v, want the 422 APIError", err)
-	}
-	if first.Load() != 1 || second.Load() != 0 {
-		t.Errorf("endpoint hits = %d/%d, want 1/0 (no failover on API error)", first.Load(), second.Load())
-	}
-}
-
-func TestFleetNeedsEndpoints(t *testing.T) {
-	if _, err := NewFleet(nil, nil); err == nil {
-		t.Fatal("NewFleet(nil) succeeded")
 	}
 }
 

@@ -119,69 +119,3 @@ func (g *Graph) LatestStartInto(sc *StartScratch, lat LatencyFunc, ii int) (lsta
 	}
 	return nil, false
 }
-
-// Height returns, per node, the longest-latency path from the node to
-// any sink of the graph ignoring loop-carried edges (distance >= 1).
-// This is the classic list-scheduling priority used by the iterative
-// modulo scheduler.
-func (g *Graph) Height(lat LatencyFunc) []int {
-	n := len(g.Nodes)
-	height := make([]int, n)
-	order := g.reverseTopoAcyclic()
-	adj := g.adjacencyCache()
-	for _, v := range order {
-		h := 0
-		for _, e := range adj.out[v] {
-			if e.Distance != 0 {
-				continue
-			}
-			if t := height[e.To] + lat(g.Nodes[v].Kind); t > h {
-				h = t
-			}
-		}
-		if h == 0 {
-			h = lat(g.Nodes[v].Kind)
-		}
-		height[v] = h
-	}
-	return height
-}
-
-// reverseTopoAcyclic returns the node IDs in reverse topological order
-// of the subgraph of distance-0 edges (acyclic whenever Validate holds).
-func (g *Graph) reverseTopoAcyclic() []int {
-	n := len(g.Nodes)
-	indeg := make([]int, n)
-	for _, e := range g.Edges {
-		if e.Distance == 0 {
-			indeg[e.To]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	topo := make([]int, 0, n)
-	adj := g.adjacencyCache()
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		topo = append(topo, v)
-		for _, e := range adj.out[v] {
-			if e.Distance != 0 {
-				continue
-			}
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	// Reverse in place.
-	for i, j := 0, len(topo)-1; i < j; i, j = i+1, j-1 {
-		topo[i], topo[j] = topo[j], topo[i]
-	}
-	return topo
-}

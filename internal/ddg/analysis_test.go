@@ -92,30 +92,6 @@ func TestLatestStartDivergesBelowRecMII(t *testing.T) {
 	}
 }
 
-func TestHeightIgnoresLoopCarriedEdges(t *testing.T) {
-	g := NewGraph(3, 3)
-	a := g.AddNode(OpALU, "")
-	b := g.AddNode(OpALU, "")
-	c := g.AddNode(OpALU, "")
-	g.AddEdge(a, b, 0)
-	g.AddEdge(b, c, 0)
-	g.AddEdge(c, a, 1) // back edge must not contribute to height
-
-	h := g.Height(unitLat)
-	if h[a] != 3 || h[b] != 2 || h[c] != 1 {
-		t.Errorf("Height = %v, want [3 2 1]", h)
-	}
-}
-
-func TestHeightOfSink(t *testing.T) {
-	g := NewGraph(1, 0)
-	g.AddNode(OpLoad, "")
-	h := g.Height(unitLat)
-	if h[0] != 2 {
-		t.Errorf("Height of lone load = %d, want its latency 2", h[0])
-	}
-}
-
 func TestEarliestStartEmptyGraph(t *testing.T) {
 	g := NewGraph(0, 0)
 	estart, ok := g.EarliestStart(unitLat, 1)

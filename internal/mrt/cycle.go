@@ -22,7 +22,7 @@ import (
 // counts are one OnesCount64. Attribution (who occupies what, for
 // eviction) lives in a parallel owner slab that is only read on actual
 // conflicts; owner entries behind cleared busy bits are stale and never
-// consulted, so Unplace does not touch them. The packing caps every
+// consulted, so ReleaseOp does not touch them. The packing caps every
 // resource family at 64 instances per cluster (and 64 buses/links per
 // machine), which NewCycle enforces.
 type Cycle struct {
@@ -58,10 +58,6 @@ type Cycle struct {
 	placed []*Placement // [node] -> placement, nil when unplaced
 	freePl []*Placement // recycled placement records
 	arena  []Placement  // chunked backing store, pointer-stable
-
-	rbBuf []int // scratch for release-event write-slot spans
-
-	Journal
 }
 
 // Placement records exactly which slots a scheduled node occupies, so
@@ -141,8 +137,7 @@ func (c *Cycle) Machine() *machine.Config { return c.m }
 
 // ResetII clears the table and re-sizes it for a new initiation
 // interval, so II-escalation loops reuse one table's slabs instead of
-// allocating per candidate. Journaling mode is preserved (the journal
-// itself is discarded).
+// allocating per candidate.
 func (c *Cycle) ResetII(ii int) {
 	if ii <= 0 {
 		panic(fmt.Sprintf("mrt: non-positive II %d", ii))
@@ -160,7 +155,6 @@ func (c *Cycle) ResetII(ii int) {
 			c.placed[i] = nil
 		}
 	}
-	c.JournalReset()
 }
 
 // growU64 resizes s to n entries, zeroed, reusing its backing array
@@ -346,14 +340,13 @@ func (c *Cycle) CommitOp(op Op, cycle int) bool {
 		p.readPort, p.busIndex, p.linkIndex = -1, -1, -1
 		c.placed[op.Node] = p
 	}
-	if c.journaling {
-		c.record(op, cycle, false, nil)
-	}
 	return true
 }
 
 // ReleaseOp releases every slot held by op.Node (only the node matters;
-// the other fields are ignored). It reports whether the node was
+// the other fields are ignored): it clears the node's busy bits and
+// recycles its placement record. Owner entries are left stale; they are
+// never read behind cleared bits. It reports whether the node was
 // placed.
 //
 //schedvet:alloc-free
@@ -361,34 +354,7 @@ func (c *Cycle) ReleaseOp(op Op) bool {
 	if op.Node >= len(c.placed) || c.placed[op.Node] == nil {
 		return false
 	}
-	if c.journaling {
-		// Snapshot the exact resource rows so rollback restores the
-		// identical table state: re-placing through first-free scans
-		// could pick different instances than the original commit.
-		p := c.placed[op.Node]
-		c.rbBuf = c.rbBuf[:0]
-		for _, w := range p.writeSlots {
-			c.rbBuf = append(c.rbBuf, w.cluster)
-			c.rbBuf = append(c.rbBuf, w.port)
-		}
-		ev := c.record(Op{Node: op.Node, Kind: op.Kind, Cluster: p.Cluster}, p.Cycle, true, c.rbBuf)
-		ev.fuUnit = int32(p.fuUnit)
-		ev.readPort = int32(p.readPort)
-		ev.busIndex = int32(p.busIndex)
-		ev.linkIndex = int32(p.linkIndex)
-		ev.occupancy = int32(p.occupancy)
-	}
-	c.unplace(op.Node)
-	return true
-}
-
-// unplace clears node's busy bits and recycles its placement record.
-// Owner entries are left stale; they are never read behind cleared
-// bits.
-//
-//schedvet:alloc-free
-func (c *Cycle) unplace(node int) {
-	p := c.placed[node]
+	p := c.placed[op.Node]
 	s := c.slot(p.Cycle)
 	if p.fuUnit >= 0 {
 		for d := 0; d < p.occupancy; d++ {
@@ -407,59 +373,9 @@ func (c *Cycle) unplace(node int) {
 	for _, w := range p.writeSlots {
 		c.writeBusy[w.cluster*c.ii+s] &^= 1 << uint(w.port)
 	}
-	c.placed[node] = nil
+	c.placed[op.Node] = nil
 	c.freePl = append(c.freePl, p)
-}
-
-// JournalRollback undoes, in reverse order, every commit and release
-// recorded after mark: commits are unplaced, releases are re-placed on
-// the exact resource rows they held.
-//
-//schedvet:alloc-free
-func (c *Cycle) JournalRollback(mark int) {
-	for i := len(c.events) - 1; i >= mark; i-- {
-		ev := &c.events[i]
-		if ev.release {
-			c.restore(ev)
-		} else {
-			c.unplace(int(ev.node))
-		}
-	}
-	c.truncate(mark)
-}
-
-// restore re-places the node described by release event ev on the exact
-// rows recorded at release time.
-//
-//schedvet:alloc-free
-func (c *Cycle) restore(ev *journalEvent) {
-	node := int(ev.node)
-	s := c.slot(int(ev.cycle))
-	p := c.newPlacement()
-	p.Node, p.Cycle, p.Cluster = node, int(ev.cycle), int(ev.cluster)
-	p.fuUnit, p.occupancy = int(ev.fuUnit), int(ev.occupancy)
-	p.readPort, p.busIndex, p.linkIndex = int(ev.readPort), int(ev.busIndex), int(ev.linkIndex)
-	if p.fuUnit >= 0 {
-		for d := 0; d < p.occupancy; d++ {
-			c.setFU(p.Cluster, p.fuUnit, (s+d)%c.ii, ev.node)
-		}
-	}
-	if p.readPort >= 0 {
-		c.setRead(p.Cluster, p.readPort, s, ev.node)
-	}
-	if p.busIndex >= 0 {
-		c.setBus(p.busIndex, s, ev.node)
-	}
-	if p.linkIndex >= 0 {
-		c.setLink(p.linkIndex, s, ev.node)
-	}
-	span := c.span(ev)
-	for i := 0; i+1 < len(span); i += 2 {
-		t, w := int(span[i]), int(span[i+1])
-		c.setWrite(t, w, s, ev.node)
-		p.writeSlots = append(p.writeSlots, wSlot{cluster: t, port: w})
-	}
-	c.placed[node] = p
+	return true
 }
 
 // Bit + owner setters -------------------------------------------------------
@@ -601,51 +517,8 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
-// Copy / restore ------------------------------------------------------------
-
-// CopyFrom overwrites the receiver with src's occupancy and placements,
-// a slab-reusing restore for tables of the same machine (it panics
-// otherwise). The receiver's journal is discarded; its journaling mode
-// is kept.
-func (c *Cycle) CopyFrom(src *Cycle) {
-	if c.m != src.m {
-		panic("mrt: Cycle.CopyFrom across machines")
-	}
-	c.ResetII(src.ii)
-	copy(c.fuBusy, src.fuBusy)
-	copy(c.readBusy, src.readBusy)
-	copy(c.writeBusy, src.writeBusy)
-	copy(c.busBusy, src.busBusy)
-	copy(c.linkBusy, src.linkBusy)
-	copy(c.owner, src.owner)
-	for len(c.placed) < len(src.placed) {
-		c.placed = append(c.placed, nil)
-	}
-	for node, sp := range src.placed {
-		if sp == nil {
-			continue
-		}
-		p := c.newPlacement()
-		p.Node, p.Cycle, p.Cluster = sp.Node, sp.Cycle, sp.Cluster
-		p.fuUnit, p.occupancy = sp.fuUnit, sp.occupancy
-		p.readPort, p.busIndex, p.linkIndex = sp.readPort, sp.busIndex, sp.linkIndex
-		for _, w := range sp.writeSlots {
-			p.writeSlots = append(p.writeSlots, w)
-		}
-		c.placed[node] = p
-	}
-}
-
-// Clone returns an independent deep copy. The clone's journal starts
-// empty and disabled.
-func (c *Cycle) Clone() *Cycle {
-	n := NewCycle(c.m, c.ii)
-	n.CopyFrom(c)
-	return n
-}
-
 // String renders the table, one line per resource instance, with "."
-// for free slots, for debugging and the schedview tool.
+// for free slots, for debugging.
 func (c *Cycle) String() string {
 	var b strings.Builder
 	row := func(label string, busyAt func(s int) bool, ownerRow int) {

@@ -1,8 +1,6 @@
 package mrt
 
-import (
-	"clustersched/internal/ddg"
-)
+import "clustersched/internal/ddg"
 
 // Op describes one schedulable operation to the unified resource-probe
 // API. Both table fidelities consume the same description: the
@@ -15,9 +13,9 @@ import (
 // consumes), and Targets the destination clusters — exactly one,
 // adjacent to Cluster, on point-to-point machines.
 //
-// Targets may alias a caller-owned buffer: the tables snapshot what
-// they need (journals copy targets into their own slab), so the caller
-// is free to reuse the buffer after the call returns.
+// Targets may alias a caller-owned buffer: the tables copy what they
+// keep, so the caller is free to reuse the buffer after the call
+// returns.
 type Op struct {
 	Node    int
 	Kind    ddg.OpKind
@@ -38,26 +36,3 @@ func OpAt(node, cluster int, kind ddg.OpKind) Op {
 func CopyAt(node, src int, targets []int) Op {
 	return Op{Node: node, Kind: ddg.OpCopy, Cluster: src, Targets: targets}
 }
-
-// Table is the probe surface shared by both fidelities. Probes are
-// side-effect free; commits reserve resources and report false without
-// changes when they do not fit; releases undo a commit. The cycle
-// argument selects the modulo slot on a Cycle table and is ignored by
-// Capacity, which counts slot-cycles without knowing cycles yet.
-type Table interface {
-	II() int
-	ProbeOp(op Op, cycle int) bool
-	CommitOp(op Op, cycle int) bool
-	ReleaseOp(op Op) bool
-
-	EnableJournal()
-	JournalMark() int
-	JournalRollback(mark int)
-	JournalReset()
-}
-
-// Compile-time checks that both fidelities implement the probe surface.
-var (
-	_ Table = (*Capacity)(nil)
-	_ Table = (*Cycle)(nil)
-)

@@ -121,12 +121,18 @@ func TestAliasOfEvictedEntryRecomputes(t *testing.T) {
 	checkLookups(t, srv, fills+4)
 }
 
+// twoLoopsDDG holds two loops, which /v1/schedule rejects.
+const twoLoopsDDG = dotDDG + "loop chain\nnode 0 load x[i]\nnode 1 store y[i]\nedge 0 1 0\nend\n"
+
+// selfLoopDDG parses, but lint rejects its zero-distance self edge
+// (DDG005).
+const selfLoopDDG = "loop z\nnode 0 alu\nedge 0 0 0\nend\n"
+
 // TestBadBodiesNeverAliased repeats rejected requests: each gets the
 // same status and error body every time, reaches no cache lookup, and
 // leaves no alias behind.
 func TestBadBodiesNeverAliased(t *testing.T) {
 	srv := server.New(server.Config{})
-	twoLoops := dotDDG + "loop chain\nnode 0 load x[i]\nnode 1 store y[i]\nedge 0 1 0\nend\n"
 	cases := []struct {
 		name   string
 		body   []byte
@@ -134,9 +140,9 @@ func TestBadBodiesNeverAliased(t *testing.T) {
 		code   string // a diagnostic code the error body must carry
 	}{
 		{"unknown machine", scheduleBody(t, server.ScheduleRequest{DDG: dotDDG, Machine: "warp:9"}), http.StatusBadRequest, ""},
-		{"two loops", scheduleBody(t, server.ScheduleRequest{DDG: twoLoops, Machine: "gp:2:2:1"}), http.StatusUnprocessableEntity, ""},
+		{"two loops", scheduleBody(t, server.ScheduleRequest{DDG: twoLoopsDDG, Machine: "gp:2:2:1"}), http.StatusUnprocessableEntity, ""},
 		{"unknown field", []byte(`{"machine":"gp:2:2:1","ddg":"x","machnie":"oops"}`), http.StatusBadRequest, ""},
-		{"lint-rejected graph", scheduleBody(t, server.ScheduleRequest{DDG: "loop z\nnode 0 alu\nedge 0 0 0\nend\n", Machine: "gp:2:2:1"}), http.StatusUnprocessableEntity, "DDG005"},
+		{"lint-rejected graph", scheduleBody(t, server.ScheduleRequest{DDG: selfLoopDDG, Machine: "gp:2:2:1"}), http.StatusUnprocessableEntity, "DDG005"},
 	}
 	for _, tc := range cases {
 		first := serve(srv, tc.body)

@@ -15,11 +15,13 @@ go test ./...
 # whole module (an //schedvet:alloc-free function gaining an allocation
 # or a critical package gaining an unordered map range fails here).
 go run ./cmd/schedvet ./...
-# Race pass over every package that runs goroutines (worker pools,
-# shared observers, the daemon and its cache, batch sharding, and the
-# whole-loop compile workers) plus the public API that feeds them, and
-# the assignment engine's differential/fuzz-seed tests.
-go test -race ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ .
+# Race pass over every package that runs goroutines or shares state
+# between them (worker pools, shared observers, the daemon and its
+# cache, batch sharding, the whole-loop compile workers, the balancer's
+# hedges and ring, the membership table, and the sync-guarded caches of
+# mrt, machine and ddg) plus the public API that feeds them, and the
+# assignment engine's differential/fuzz-seed tests.
+go test -race ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ ./internal/balance/ ./internal/membership/ ./internal/mrt/ ./internal/machine/ ./internal/ddg/ .
 # Compile-corpus oracle: every kernel the streaming executor emits for
 # the regression corpus must execute functionally identical to the
 # naive non-pipelined loop (sim cross-validation plus the Livermore
