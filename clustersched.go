@@ -361,9 +361,8 @@ func resultFromOutcome(m *Machine, out *pipeline.Outcome) *Result {
 // per-call setup ScheduleContext pays. Results are byte-identical to
 // per-call ScheduleContext with the same options.
 //
-// A Session may be used by one goroutine at a time; for loop-level
-// parallelism give each worker its own (see pipeline.RunBatch for the
-// internal sharded form).
+// A Session is safe for concurrent use: loop-level workers may share
+// one, and each concurrent call schedules on a working set of its own.
 type Session struct {
 	m *Machine
 	s *pipeline.Session

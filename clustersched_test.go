@@ -2,10 +2,14 @@ package clustersched_test
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"clustersched"
+	"clustersched/internal/diag"
+	"clustersched/internal/machine"
 )
 
 func dotProduct() *clustersched.Graph {
@@ -356,5 +360,49 @@ func TestGanttExposed(t *testing.T) {
 	}
 	if g := res.Gantt(); !strings.Contains(g, "kernel occupancy") {
 		t.Errorf("Gantt output malformed:\n%s", g)
+	}
+}
+
+// TestResourceCountBoundary walks every resource family to the 64/65
+// boundary of the bitset layouts: at 64 the facade schedules, at 65 it
+// returns the coded MACH015 error instead of panicking or scheduling
+// past the cluster mask.
+func TestResourceCountBoundary(t *testing.T) {
+	// links joins 12 clusters by their first k pairs; the first 11
+	// reach cluster 0 from every other, so the fabric is connected.
+	links := func(k int) *clustersched.Machine {
+		m := machine.NewRing(12, 1)
+		m.Links = nil
+		for a := 0; a < 12; a++ {
+			for b := a + 1; b < 12 && len(m.Links) < k; b++ {
+				m.Links = append(m.Links, clustersched.Link{A: a, B: b})
+			}
+		}
+		return m
+	}
+	ports := func(read, write int) *clustersched.Machine {
+		return &clustersched.Machine{Name: "ports", Network: clustersched.Broadcast, Buses: 1, Latencies: clustersched.DefaultLatencies(),
+			Clusters: []clustersched.Cluster{machine.GPCluster(4, read, write), machine.GPCluster(4, read, write)}}
+	}
+	families := map[string]func(int) *clustersched.Machine{
+		"clusters":    func(k int) *clustersched.Machine { return clustersched.BusedGP(k, 1, 1) },
+		"buses":       func(k int) *clustersched.Machine { return clustersched.BusedGP(2, k, 1) },
+		"links":       links,
+		"units":       machine.NewUnifiedGP,
+		"read ports":  func(k int) *clustersched.Machine { return ports(k, 1) },
+		"write ports": func(k int) *clustersched.Machine { return ports(1, k) },
+	}
+	const n = machine.MaxResources
+	for name, build := range families {
+		if res, err := clustersched.Schedule(dotProduct(), build(n)); err != nil {
+			t.Errorf("%s = %d: %v", name, n, err)
+		} else if err := res.Validate(); err != nil {
+			t.Errorf("%s = %d: invalid schedule: %v", name, n, err)
+		}
+		_, err := clustersched.Schedule(dotProduct(), build(n+1))
+		var list *diag.List
+		if !errors.As(err, &list) || !slices.ContainsFunc(list.Diags, func(d diag.Diagnostic) bool { return d.Code == machine.CodeTooLarge }) {
+			t.Errorf("%s = %d: err = %v, want a *diag.List with %s", name, n+1, err, machine.CodeTooLarge)
+		}
 	}
 }

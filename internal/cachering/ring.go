@@ -88,9 +88,6 @@ func (r *Ring) Epoch() uint64 { return r.epoch }
 // shared and must not be modified.
 func (r *Ring) Nodes() []string { return r.ids }
 
-// Empty reports whether the ring has no nodes.
-func (r *Ring) Empty() bool { return len(r.ids) == 0 }
-
 // succ returns the index of the first point at or after h, wrapping.
 func (r *Ring) succ(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
@@ -108,28 +105,4 @@ func (r *Ring) Owner(key string) (string, bool) {
 	}
 	p := r.points[r.succ(hash64("key\x00"+key))]
 	return r.ids[p.node], true
-}
-
-// Owners returns up to n distinct nodes for key in clockwise
-// preference order: the owner first, then the fallback nodes a
-// rebalance would promote. It returns fewer when the ring has fewer
-// than n nodes.
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.ids) {
-		n = len(r.ids)
-	}
-	out := make([]string, 0, n)
-	seen := make([]bool, len(r.ids))
-	start := r.succ(hash64("key\x00" + key))
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, r.ids[p.node])
-		}
-	}
-	return out
 }

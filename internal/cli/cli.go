@@ -13,13 +13,10 @@ import (
 	"clustersched/internal/pipeline"
 )
 
-// maxSpecCount bounds every number of a machine spec. The cycle-exact
-// reservation table packs each resource family (function units and
-// ports of a cluster, buses, links) into 64-bit lane masks, and the
-// assigner keeps the clusters a node has tried in a 64-bit mask, so no
-// count above 64 can be scheduled; the bound also keeps a spec from
-// asking for an arbitrarily large machine.
-const maxSpecCount = 64
+// maxSpecCount bounds every number of a machine spec at the largest
+// resource count a machine may have (machine.MaxResources), so a spec
+// never asks for an arbitrarily large machine.
+const maxSpecCount = machine.MaxResources
 
 // ParseMachine builds a machine from a spec string:
 //

@@ -1,6 +1,6 @@
 // Package compile is the whole-translation-unit compile path: it
-// takes a multi-loop program through lint → assign/schedule (on
-// pooled pipeline.Sessions) → stage scheduling → register allocation
+// takes a multi-loop program through lint → assign/schedule (on one
+// shared pipeline.Session) → stage scheduling → register allocation
 // → emission → optional sim cross-validation, streaming loops through
 // a bounded set of whole-loop workers.
 //
@@ -12,7 +12,7 @@
 // validate stages no-op unless enabled by Options). Loops are
 // independent items over pool.Stream: each of Options.Workers
 // goroutines takes the next loop in input order and runs every stage
-// of it, one after the other, on one pooled session — the same
+// of it, one after the other, on the executor's session — the same
 // per-loop function Executor.One runs on the caller's goroutine.
 // Results are assembled in input order regardless of completion
 // order, so Options.Emit observes exactly the sequence a sequential
@@ -66,7 +66,7 @@ var stageNames = [numStages]string{"lint", "schedule", "stagesched", "regalloc",
 // Options configures an Executor.
 type Options struct {
 	// Pipeline are the per-loop scheduling options, passed verbatim to
-	// the pooled pipeline.Sessions. Callers own the defaults: the zero
+	// the executor's pipeline.Session. Callers own the defaults: the zero
 	// value selects the Simple assignment variant, which is almost
 	// never what a compiler driver wants (cmd/clusterc and the server
 	// pass HeuristicIterative explicitly, like the library facade).
@@ -152,50 +152,30 @@ type Result struct {
 	Stats obs.Stats
 }
 
-// Executor is a reusable whole-TU compiler for one machine: it owns a
-// free list of pipeline.Sessions (machine lint verdict, ResMII
-// tables, scheduler slabs) that survives across Run calls, so
+// Executor is a reusable whole-TU compiler for one machine: it owns
+// one pipeline.Session (machine lint verdict, ResMII tables, and the
+// scheduling working sets) that survives across Run calls, so
 // compiling a stream of translation units pays the per-machine setup
-// once. An Executor is safe for concurrent Run calls; the session
-// pool is shared.
+// once. An Executor is safe for concurrent Run calls; the session is
+// shared.
 type Executor struct {
 	m       *machine.Config
 	opts    Options
 	workers int
-
-	// sessions is the free list of scheduling sessions, one per loop
-	// in flight (single-communication sends and receives only).
-	sessions chan *pipeline.Session
+	session *pipeline.Session
 }
 
 // NewExecutor builds an executor for machine m.
 func NewExecutor(m *machine.Config, opts Options) *Executor {
-	e := &Executor{m: m, opts: opts, workers: opts.Workers}
+	e := &Executor{m: m, opts: opts, workers: opts.Workers, session: pipeline.NewSession(m, opts.Pipeline)}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	e.sessions = make(chan *pipeline.Session, e.workers)
 	return e
 }
 
 // Machine returns the executor's target machine.
 func (e *Executor) Machine() *machine.Config { return e.m }
-
-func (e *Executor) takeSession() *pipeline.Session {
-	select {
-	case s := <-e.sessions:
-		return s
-	default:
-		return pipeline.NewSession(e.m, e.opts.Pipeline)
-	}
-}
-
-func (e *Executor) putSession(s *pipeline.Session) {
-	select {
-	case e.sessions <- s:
-	default:
-	}
-}
 
 // Source compiles a whole translation unit from loop-language source:
 // frontend, then Run over the compiled loops. Frontend errors (parse
@@ -331,9 +311,7 @@ func (r *run) lint(j *job) bool {
 }
 
 func (r *run) schedule(j *job) bool {
-	s := r.e.takeSession()
-	out, err := s.Schedule(r.ctx, j.res.Graph)
-	r.e.putSession(s)
+	out, err := r.e.session.Schedule(r.ctx, j.res.Graph)
 	if err != nil {
 		j.res.Err = err
 		return true

@@ -89,7 +89,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			}
 			emitted = append(emitted, l.Index)
 		}
-		res, err := NewExecutor(m, opts).Run(context.Background(), loops)
+		ex := NewExecutor(m, opts)
+		res, err := ex.Run(context.Background(), loops)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -97,6 +98,19 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			if idx != i {
 				t.Fatalf("workers=%d: emit order %v is not input order", workers, emitted)
 			}
+		}
+		// A second Run on the same executor schedules on the working
+		// sets the first left behind; its output must not change.
+		emitted = nil
+		again, err := ex.Run(context.Background(), loops)
+		if err != nil {
+			t.Fatalf("workers=%d, second Run: %v", workers, err)
+		}
+		if got, want := render(again), render(res); got != want {
+			t.Fatalf("workers=%d: second Run on one Executor differs from the first:\n%s", workers, firstDiff(got, want))
+		}
+		if got, want := stageLoops(again), stageLoops(res); got != want {
+			t.Fatalf("workers=%d: second Run per-stage loop counts %s, want %s", workers, got, want)
 		}
 		if base == nil {
 			base, baseEmit = res, emitted

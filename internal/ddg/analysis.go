@@ -22,20 +22,14 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// EarliestStart computes, for a candidate initiation interval II, the
-// earliest modulo-schedule slot of every node: the longest-path distance
-// from any source using edge weight latency(from) - II*distance, clamped
-// at zero. The result is the ASAP time used by the swing ordering and by
-// schedulers as a lower bound.
+// EarliestStartInto computes, for a candidate initiation interval II,
+// the earliest modulo-schedule slot of every node: the longest-path
+// distance from any source using edge weight latency(from) -
+// II*distance, clamped at zero. The result is the ASAP time used by
+// the swing ordering and by schedulers as a lower bound.
 //
 // The relaxation converges only when the graph has no positive cycle at
-// this II (i.e. II >= RecMII); ok reports whether it converged.
-func (g *Graph) EarliestStart(lat LatencyFunc, ii int) (estart []int, ok bool) {
-	var sc StartScratch
-	return g.EarliestStartInto(&sc, lat, ii)
-}
-
-// EarliestStartInto is EarliestStart into sc's reusable buffers. The
+// this II (i.e. II >= RecMII); ok reports whether it converged. The
 // returned vector aliases sc and is overwritten by the next call.
 func (g *Graph) EarliestStartInto(sc *StartScratch, lat LatencyFunc, ii int) (estart []int, ok bool) {
 	n := len(g.Nodes)
@@ -75,18 +69,13 @@ func (g *Graph) edgeWeightsInto(sc *StartScratch, lat LatencyFunc, ii int) []int
 	return sc.w
 }
 
-// LatestStart computes the latest start times against the schedule-length
-// horizon implied by the earliest starts: LStart(v) = horizon - longest
-// path from v to any sink, mirrored from EarliestStart. ok is false when
-// the relaxation fails to converge (positive cycle at this II).
-func (g *Graph) LatestStart(lat LatencyFunc, ii int) (lstart []int, ok bool) {
-	var sc StartScratch
-	return g.LatestStartInto(&sc, lat, ii)
-}
-
-// LatestStartInto is LatestStart into sc's reusable buffers. It also
-// overwrites sc's earliest-start vector (the horizon derives from it);
-// the returned vector aliases sc and is overwritten by the next call.
+// LatestStartInto computes the latest start times against the
+// schedule-length horizon implied by the earliest starts: LStart(v) =
+// horizon - longest path from v to any sink, mirrored from
+// EarliestStartInto. ok is false when the relaxation fails to converge
+// (positive cycle at this II). It also overwrites sc's earliest-start
+// vector (the horizon derives from it); the returned vector aliases sc
+// and is overwritten by the next call.
 func (g *Graph) LatestStartInto(sc *StartScratch, lat LatencyFunc, ii int) (lstart []int, ok bool) {
 	estart, ok := g.EarliestStartInto(sc, lat, ii)
 	if !ok {

@@ -20,9 +20,9 @@ func TestEarliestStartChain(t *testing.T) {
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, c, 0)
 
-	estart, ok := g.EarliestStart(unitLat, 1)
+	estart, ok := g.EarliestStartInto(new(StartScratch), unitLat, 1)
 	if !ok {
-		t.Fatal("EarliestStart did not converge on an acyclic graph")
+		t.Fatal("EarliestStartInto did not converge on an acyclic graph")
 	}
 	want := []int{0, 2, 3}
 	for i, w := range want {
@@ -40,10 +40,10 @@ func TestEarliestStartLoopCarried(t *testing.T) {
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, a, 1)
 
-	if _, ok := g.EarliestStart(unitLat, 1); ok {
+	if _, ok := g.EarliestStartInto(new(StartScratch), unitLat, 1); ok {
 		t.Error("II=1 should not converge (RecMII is 2)")
 	}
-	estart, ok := g.EarliestStart(unitLat, 2)
+	estart, ok := g.EarliestStartInto(new(StartScratch), unitLat, 2)
 	if !ok {
 		t.Fatal("II=2 should converge")
 	}
@@ -63,11 +63,11 @@ func TestLatestStartChain(t *testing.T) {
 	// gives a no slack either way.
 	g.AddEdge(a, c, 0)
 
-	lstart, ok := g.LatestStart(unitLat, 1)
+	lstart, ok := g.LatestStartInto(new(StartScratch), unitLat, 1)
 	if !ok {
-		t.Fatal("LatestStart did not converge")
+		t.Fatal("LatestStartInto did not converge")
 	}
-	estart, _ := g.EarliestStart(unitLat, 1)
+	estart, _ := g.EarliestStartInto(new(StartScratch), unitLat, 1)
 	for i := range lstart {
 		if lstart[i] < estart[i] {
 			t.Errorf("node %d: lstart %d < estart %d", i, lstart[i], estart[i])
@@ -87,14 +87,14 @@ func TestLatestStartDivergesBelowRecMII(t *testing.T) {
 	b := g.AddNode(OpALU, "")
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, a, 1)
-	if _, ok := g.LatestStart(unitLat, 1); ok {
-		t.Error("LatestStart converged below RecMII")
+	if _, ok := g.LatestStartInto(new(StartScratch), unitLat, 1); ok {
+		t.Error("LatestStartInto converged below RecMII")
 	}
 }
 
 func TestEarliestStartEmptyGraph(t *testing.T) {
 	g := NewGraph(0, 0)
-	estart, ok := g.EarliestStart(unitLat, 1)
+	estart, ok := g.EarliestStartInto(new(StartScratch), unitLat, 1)
 	if !ok || len(estart) != 0 {
 		t.Errorf("empty graph: estart=%v ok=%v", estart, ok)
 	}

@@ -134,9 +134,6 @@ func (r *Reporter) Infof(code, subject, format string, args ...interface{}) {
 // Diagnostics returns the collected findings in report order.
 func (r *Reporter) Diagnostics() []Diagnostic { return r.diags }
 
-// HasErrors reports whether any collected finding is Error severity.
-func (r *Reporter) HasErrors() bool { return CountErrors(r.diags) > 0 }
-
 // Len returns the number of collected findings.
 func (r *Reporter) Len() int { return len(r.diags) }
 

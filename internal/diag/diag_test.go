@@ -41,9 +41,6 @@ func TestReporterCollects(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
 	}
-	if !r.HasErrors() {
-		t.Error("HasErrors = false, want true")
-	}
 	if got := CountErrors(r.Diagnostics()); got != 1 {
 		t.Errorf("CountErrors = %d, want 1", got)
 	}

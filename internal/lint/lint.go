@@ -15,6 +15,7 @@ package lint
 import (
 	"clustersched/internal/ddg"
 	"clustersched/internal/diag"
+	"clustersched/internal/frontend"
 	"clustersched/internal/machine"
 )
 
@@ -24,5 +25,43 @@ import (
 func Input(g *ddg.Graph, m *machine.Config) []diag.Diagnostic {
 	diags := Graph(g)
 	diags = append(diags, Machine(m)...)
+	return diags
+}
+
+// Program lints loop-language source: the AST lint first and, when
+// the source parses, the graph lint over every compiled loop. A source
+// that parses but does not compile (e.g. an unschedulable recurrence
+// detected by graph validation) yields a CodeParseError finding
+// carrying the compiler's message.
+func Program(file, src string) []diag.Diagnostic {
+	diags := Source(file, src)
+	if diag.CountErrors(diags) > 0 {
+		return diags // does not parse; nothing to compile
+	}
+	loops, err := frontend.Compile(src)
+	if err != nil {
+		return append(diags, diag.Diagnostic{
+			Code: CodeParseError, Severity: diag.Error,
+			File: file, Message: err.Error(),
+		})
+	}
+	for _, l := range loops {
+		diags = append(diags, Loop(file, l.Name, l.Graph)...)
+	}
+	return diags
+}
+
+// Loop runs the graph pass over loop name's graph and attributes each
+// finding to the file and the loop.
+func Loop(file, name string, g *ddg.Graph) []diag.Diagnostic {
+	diags := Graph(g)
+	for i := range diags {
+		diags[i].File = file
+		if diags[i].Subject == "" {
+			diags[i].Subject = "loop " + name
+		} else {
+			diags[i].Subject = "loop " + name + ", " + diags[i].Subject
+		}
+	}
 	return diags
 }

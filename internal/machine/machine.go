@@ -287,7 +287,15 @@ const (
 	CodeUnreachable    = "MACH008" // cluster pair with no link path
 	CodeUnknownNetwork = "MACH009" // network kind out of range
 	CodeLatencyGap     = "MACH010" // operation kind with non-positive latency
+	CodeTooLarge       = "MACH015" // resource count past MaxResources
 )
+
+// MaxResources bounds every resource count of a schedulable machine:
+// clusters, buses, links, and the function units and read and write
+// ports of one cluster. The cycle-exact reservation table packs each
+// resource family into 64-bit lane masks, and the assigner keeps the
+// clusters a node has tried in a 64-bit mask.
+const MaxResources = 64
 
 // Lint checks the configuration for internal consistency and returns
 // all problems as diagnostics, not just the first.
@@ -301,6 +309,18 @@ func (m *Config) Lint() []diag.Diagnostic {
 			Fix:     "add at least one cluster with function units",
 		})
 	}
+	tooLarge := func(subject, what string, n int) {
+		if n > MaxResources {
+			r.Report(diag.Diagnostic{
+				Code: CodeTooLarge, Severity: diag.Error, Subject: subject,
+				Message: fmt.Sprintf("machine %q: %d %s, more than the %d the schedulers support", m.Name, n, what, MaxResources),
+				Fix:     fmt.Sprintf("keep every resource count at or below %d", MaxResources),
+			})
+		}
+	}
+	tooLarge(mname, "clusters", len(m.Clusters))
+	tooLarge(mname, "buses", m.Buses)
+	tooLarge(mname, "links", len(m.Links))
 	for i := range m.Clusters {
 		c := &m.Clusters[i]
 		subject := fmt.Sprintf("cluster %d", i)
@@ -310,6 +330,9 @@ func (m *Config) Lint() []diag.Diagnostic {
 		if c.ReadPorts < 0 || c.WritePorts < 0 {
 			r.Errorf(CodeNegativePorts, subject, "machine %q: cluster %d has negative port count", m.Name, i)
 		}
+		tooLarge(subject, "function units", len(c.FUs))
+		tooLarge(subject, "read ports", c.ReadPorts)
+		tooLarge(subject, "write ports", c.WritePorts)
 	}
 	switch m.Network {
 	case Broadcast:

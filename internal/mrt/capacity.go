@@ -297,19 +297,6 @@ func (c *Capacity) applyCharges(op Op, dir int) {
 
 // Queries -------------------------------------------------------------------
 
-// FreeOpSlots returns the remaining FU slot-cycles usable by kind k on
-// cluster cl.
-//
-//schedvet:alloc-free
-func (c *Capacity) FreeOpSlots(cl int, k ddg.OpKind) int {
-	cls := c.classOf[cl*ddg.NumOpKinds+int(k)]
-	if cls < 0 {
-		return 0
-	}
-	idx := cl*numFU + int(cls)
-	return c.fuCap[idx] - c.fuUsed[idx]
-}
-
 // FreeSlots returns the total free FU slot-cycles on cluster cl across
 // all classes, the tie-breaker of selection line 8 ("maximize free
 // resources on the cluster"). O(1): the aggregate is maintained on

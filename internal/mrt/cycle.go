@@ -88,12 +88,12 @@ func NewCycle(m *machine.Config, ii int) *Cycle {
 	nc := m.NumClusters()
 	c := &Cycle{m: m, nc: nc}
 
-	if m.Buses > 64 || len(m.Links) > 64 {
+	if m.Buses > machine.MaxResources || len(m.Links) > machine.MaxResources {
 		panic("mrt: more than 64 buses or links unsupported by the bitset layout")
 	}
 	for cl := 0; cl < nc; cl++ {
 		cfg := &m.Clusters[cl]
-		if len(cfg.FUs) > 64 || cfg.ReadPorts > 64 || cfg.WritePorts > 64 {
+		if len(cfg.FUs) > machine.MaxResources || cfg.ReadPorts > machine.MaxResources || cfg.WritePorts > machine.MaxResources {
 			panic("mrt: more than 64 resource instances per cluster unsupported by the bitset layout")
 		}
 	}

@@ -12,16 +12,6 @@ import (
 	"clustersched/internal/mii"
 )
 
-// Sets partitions the nodes into priority sets: one set per non-trivial
-// SCC, sorted by decreasing recurrence criticality (SCC RecMII, ties by
-// larger size then smaller minimum node ID), followed by one final set
-// with every node outside any recurrence.
-func Sets(g *ddg.Graph, lat ddg.LatencyFunc) [][]int {
-	var s Scratch
-	comps := g.NonTrivialSCCs()
-	return s.rankedSets(g, comps, s.rec.SCCRecMIIs(g, comps, lat))
-}
-
 // Scratch holds every working buffer of Compute so repeated calls — one
 // per candidate II in the swing scheduler, one per loop in problem
 // construction — allocate nothing once the buffers have grown to the
@@ -64,10 +54,14 @@ type rankedComp struct {
 	rec   int
 }
 
-// rankedSets is Sets with the SCCs and their RecMIIs already computed,
-// so Compute shares one SCCRecMIIs pass between the recurrence bound
-// and the set ranking. The returned sets alias the scratch (and the
-// graph's SCC cache) and are overwritten by the next call.
+// rankedSets partitions the nodes into priority sets: one set per
+// non-trivial SCC, sorted by decreasing recurrence criticality (SCC
+// RecMII, ties by larger size then smaller minimum node ID), followed
+// by one final set with every node outside any recurrence. The SCCs
+// and their RecMIIs come in precomputed, so Compute shares one
+// SCCRecMIIs pass between the recurrence bound and the set ranking.
+// The returned sets alias the scratch (and the graph's SCC cache) and
+// are overwritten by the next call.
 func (s *Scratch) rankedSets(g *ddg.Graph, comps []*ddg.SCC, recs []int) [][]int {
 	if cap(s.rcomps) < len(comps) {
 		s.rcomps = make([]rankedComp, len(comps))

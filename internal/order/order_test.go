@@ -30,20 +30,23 @@ func figure6() *ddg.Graph {
 	return g
 }
 
+// TestSetsPutSCCFirst: the order lists the recurrence's priority set
+// before the rest of the loop.
 func TestSetsPutSCCFirst(t *testing.T) {
-	g := figure6()
-	sets := Sets(g, lat)
-	if len(sets) != 2 {
-		t.Fatalf("got %d sets, want 2 (SCC + rest)", len(sets))
+	order := Compute(figure6(), lat)
+	if len(order) != 6 {
+		t.Fatalf("order %v has %d nodes, want 6", order, len(order))
 	}
-	if want := []int{1, 2, 3}; !sameMembers(sets[0], want) {
-		t.Errorf("first set = %v, want the SCC %v", sets[0], want)
+	if want := []int{1, 2, 3}; !sameMembers(order[:3], want) {
+		t.Errorf("first set = %v, want the SCC %v", order[:3], want)
 	}
-	if want := []int{0, 4, 5}; !sameMembers(sets[1], want) {
-		t.Errorf("second set = %v, want %v", sets[1], want)
+	if want := []int{0, 4, 5}; !sameMembers(order[3:], want) {
+		t.Errorf("second set = %v, want %v", order[3:], want)
 	}
 }
 
+// TestSetsOrderedByCriticality: of two recurrences, the one with the
+// larger RecMII is ordered first.
 func TestSetsOrderedByCriticality(t *testing.T) {
 	g := ddg.NewGraph(4, 4)
 	a := g.AddNode(ddg.OpALU, "") // SCC 1: latency 2 cycle
@@ -55,12 +58,12 @@ func TestSetsOrderedByCriticality(t *testing.T) {
 	g.AddEdge(c, d, 0)
 	g.AddEdge(d, c, 1)
 
-	sets := Sets(g, lat)
-	if len(sets) != 2 {
-		t.Fatalf("got %d sets, want 2", len(sets))
+	order := Compute(g, lat)
+	if len(order) != 4 {
+		t.Fatalf("order %v has %d nodes, want 4", order, len(order))
 	}
-	if !sameMembers(sets[0], []int{2, 3}) {
-		t.Errorf("most critical SCC (fdiv cycle) must come first, got %v", sets[0])
+	if !sameMembers(order[:2], []int{2, 3}) {
+		t.Errorf("most critical SCC (fdiv cycle) must come first, got %v", order)
 	}
 }
 

@@ -14,9 +14,10 @@
 // sequential, one candidate at a time from the MII upward; after the
 // MII candidate fails, candidates are grouped in windows of
 // DefaultSpeculativeWindow that share one warm seed (see
-// docs/OBSERVABILITY.md for the determinism contract). RunBatch
-// shards whole loop sets over a worker pool with one Session per
-// worker.
+// docs/OBSERVABILITY.md for the determinism contract). A Session is
+// safe for concurrent use: concurrent calls each take their own
+// working set from its free list. RunBatch shards whole loop sets over
+// a worker pool that shares one Session.
 //
 // The search is observable and cancelable: RunContext threads a
 // context.Context and an optional obs.Observer through the

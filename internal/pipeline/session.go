@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 
 	"clustersched/internal/assign"
 	"clustersched/internal/ddg"
@@ -34,7 +35,11 @@ const DefaultSpeculativeWindow = 4
 // Session is equivalent to (and byte-identical with) calling
 // RunContext per loop; it is just faster.
 //
-// A Session may be used from one goroutine at a time.
+// A Session is safe for concurrent use. The per-machine state is
+// immutable; each Schedule call takes a working set (assignment
+// problem and scheduler buffers) from the session's free list, or
+// builds one when every set is busy, and returns it when done, so the
+// list holds at most as many sets as calls have run at once.
 type Session struct {
 	m     *machine.Config
 	opts  Options
@@ -42,15 +47,20 @@ type Session struct {
 	mErr  error
 	slack int
 
-	// prob is the assignment problem, built for the session's first
-	// loop and rebound (assign.Problem.Bind) at every later one, so
-	// its slabs, capacity tables, and ordering scratch are reused
-	// across the session.
+	mu   sync.Mutex
+	free []*workSet
+}
+
+// workSet is the state one Schedule call owns while it runs.
+type workSet struct {
+	// prob is the assignment problem, built for the set's first loop
+	// and rebound (assign.Problem.Bind) at every later one, so its
+	// slabs, capacity tables, and ordering scratch are reused.
 	prob *assign.Problem
 	// sc is the schedulers' working buffer set.
 	sc sched.Scratch
-	// recSc backs the session's MII computations (mii.Machine itself
-	// stays immutable and shareable).
+	// recSc backs the MII computations (mii.Machine itself stays
+	// immutable and shareable).
 	recSc mii.RecScratch
 }
 
@@ -92,14 +102,16 @@ func (s *Session) Schedule(ctx context.Context, g *ddg.Graph) (*Outcome, error) 
 		return nil, s.mErr
 	}
 
+	w := s.take()
+	defer s.put(w)
 	tr := obs.New(ctx, s.opts.Observer, s.opts.CollectStats)
 	tm := tr.BeginPhase(obs.PhaseMII, 0)
-	out := &Outcome{MII: s.mc.MIIWith(g, &s.recSc)}
+	out := &Outcome{MII: s.mc.MIIWith(g, &w.recSc)}
 	tr.EndPhase(obs.PhaseMII, out.MII, tm, true)
-	if s.prob == nil {
-		s.prob = assign.NewProblem(g, s.m, s.opts.Assign)
+	if w.prob == nil {
+		w.prob = assign.NewProblem(g, s.m, s.opts.Assign)
 	} else {
-		s.prob.Bind(g)
+		w.prob.Bind(g)
 	}
 
 	// The walk: candidate IIs from the MII upward, committing the
@@ -117,7 +129,7 @@ func (s *Session) Schedule(ctx context.Context, g *ddg.Graph) (*Outcome, error) 
 		if ii > out.MII && (ii-out.MII-1)%DefaultSpeculativeWindow == 0 {
 			seed = last
 		}
-		res, sch, partial := s.probe(tr, ii, seed)
+		res, sch, partial := s.probe(w, tr, ii, seed)
 		if sch != nil {
 			out.II, out.Assignment, out.Schedule = ii, res, sch
 			if tr != nil {
@@ -139,6 +151,26 @@ func (s *Session) Schedule(ctx context.Context, g *ddg.Graph) (*Outcome, error) 
 		s.m.Name, maxII, out.MII)
 }
 
+// take hands the caller a working set: a free one, or a new one when
+// every set is busy.
+func (s *Session) take() *workSet {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		w := s.free[n-1]
+		s.free = s.free[:n-1]
+		return w
+	}
+	return new(workSet)
+}
+
+// put returns a working set to the free list.
+func (s *Session) put(w *workSet) {
+	s.mu.Lock()
+	s.free = append(s.free, w)
+	s.mu.Unlock()
+}
+
 // probe evaluates one candidate II: a warm-started attempt when a seed
 // is available (and warm starts are enabled), falling back to a
 // scratch attempt at the same II when the warm attempt fails, so a
@@ -147,11 +179,11 @@ func (s *Session) Schedule(ctx context.Context, g *ddg.Graph) (*Outcome, error) 
 // assignment, non-nil: the scheduler), and partial is the warm seed
 // the probe leaves behind — an owned copy, nil when the probe was
 // canceled or left nothing to reuse.
-func (s *Session) probe(tr *obs.Trace, ii int, seed []int) (res *assign.Result, sch *sched.Schedule, partial []int) {
+func (s *Session) probe(w *workSet, tr *obs.Trace, ii int, seed []int) (res *assign.Result, sch *sched.Schedule, partial []int) {
 	tr.IICandidate(ii)
 	if len(seed) > 0 && !s.opts.DisableWarmStart {
 		tr.WarmStart()
-		if res, sch, _ := s.attempt(tr, ii, seed); sch != nil {
+		if res, sch, _ := s.attempt(w, tr, ii, seed); sch != nil {
 			return res, sch, nil
 		}
 		if tr.Canceled() {
@@ -159,7 +191,7 @@ func (s *Session) probe(tr *obs.Trace, ii int, seed []int) (res *assign.Result, 
 		}
 		tr.WarmFallback()
 	}
-	res, sch, partial = s.attempt(tr, ii, nil)
+	res, sch, partial = s.attempt(w, tr, ii, nil)
 	if sch != nil || tr.Canceled() {
 		return res, sch, nil
 	}
@@ -170,16 +202,16 @@ func (s *Session) probe(tr *obs.Trace, ii int, seed []int) (res *assign.Result, 
 // returns the warm seed the pass leaves behind: the assignment's
 // consistent partial on an assignment failure, or the full committed
 // assignment when the scheduler was the phase that rejected the II.
-// The returned partial aliases the session's problem or res and must
+// The returned partial aliases the working set's problem or res and must
 // be copied before the problem runs again.
 //
 //schedvet:alloc-free
-func (s *Session) attempt(tr *obs.Trace, ii int, seed []int) (*assign.Result, *sched.Schedule, []int) {
+func (s *Session) attempt(w *workSet, tr *obs.Trace, ii int, seed []int) (*assign.Result, *sched.Schedule, []int) {
 	ta := tr.BeginPhase(obs.PhaseAssign, ii)
-	res, aok := s.prob.RunAt(ii, seed, tr)
+	res, aok := w.prob.RunAt(ii, seed, tr)
 	tr.EndPhase(obs.PhaseAssign, ii, ta, aok)
 	if !aok {
-		return nil, nil, s.prob.Partial()
+		return nil, nil, w.prob.Partial()
 	}
 	in := sched.Input{
 		Graph:       res.Graph,
@@ -188,7 +220,7 @@ func (s *Session) attempt(tr *obs.Trace, ii int, seed []int) (*assign.Result, *s
 		CopyTargets: res.CopyTargets,
 		II:          ii,
 		Trace:       tr,
-		Scratch:     &s.sc,
+		Scratch:     &w.sc,
 	}
 	var (
 		sch *sched.Schedule
@@ -215,10 +247,10 @@ type BatchResult struct {
 }
 
 // RunBatch schedules every loop of loops on machine m, sharding the
-// batch over a bounded worker pool with one reusable Session per
-// worker. Results come back in input order and are byte-identical to
-// calling RunContext(ctx, loop, m, opts) per loop — worker count
-// changes only wall-clock time. workers <= 0 selects GOMAXPROCS.
+// batch over a bounded worker pool that shares one Session. Results
+// come back in input order and are byte-identical to calling
+// RunContext(ctx, loop, m, opts) per loop — worker count changes only
+// wall-clock time. workers <= 0 selects GOMAXPROCS.
 func RunBatch(ctx context.Context, loops []*ddg.Graph, m *machine.Config, opts Options, workers int) []BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -227,20 +259,10 @@ func RunBatch(ctx context.Context, loops []*ddg.Graph, m *machine.Config, opts O
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([]BatchResult, len(loops))
-	sessions := make(chan *Session, workers)
+	s := NewSession(m, opts)
 	err := pool.ForEach(ctx, len(loops), workers, func(i int) {
-		var s *Session
-		select {
-		case s = <-sessions:
-		default:
-			s = NewSession(m, opts)
-		}
 		o, e := s.Schedule(ctx, loops[i])
 		out[i] = BatchResult{Outcome: o, Err: e}
-		select {
-		case sessions <- s:
-		default:
-		}
 	})
 	if err != nil {
 		for i := range out {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clustersched/internal/assign"
@@ -117,7 +119,7 @@ func TestWarmStartNeverRaisesII(t *testing.T) {
 }
 
 // TestRunBatchMatchesPerLoop checks that sharding a loop set over
-// per-worker sessions returns, in input order, exactly what one-shot
+// workers sharing one session returns, in input order, exactly what one-shot
 // RunContext returns per loop.
 func TestRunBatchMatchesPerLoop(t *testing.T) {
 	loops := loopgen.Suite(loopgen.Options{Seed: 5, Count: 60})
@@ -181,6 +183,49 @@ func TestSessionReuseMatchesFreshSessions(t *testing.T) {
 		}
 		if err := diffOutcomes(first, ref); err != nil {
 			t.Errorf("loop %d: reused vs fresh session: %v", i, err)
+		}
+	}
+}
+
+// TestSessionConcurrentMatchesFresh shares one Session between four
+// goroutines under each scheduler: every loop's outcome must equal a
+// fresh RunContext's, whichever working set its call took and
+// whatever the other goroutines scheduled on it before.
+func TestSessionConcurrentMatchesFresh(t *testing.T) {
+	loops := loopgen.Suite(loopgen.Options{Seed: 33, Count: 200})
+	m := machine.NewBusedGP(2, 1, 1)
+	for _, sch := range []Scheduler{IMS, SMS} {
+		opts := Options{
+			Assign:       assign.Options{Variant: assign.HeuristicIterative},
+			Scheduler:    sch,
+			CollectStats: true,
+		}
+		s := NewSession(m, opts)
+		got := make([]*Outcome, len(loops))
+		errs := make([]error, len(loops))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < len(loops); i = int(next.Add(1) - 1) {
+					got[i], errs[i] = s.Schedule(context.Background(), loops[i])
+				}
+			}()
+		}
+		wg.Wait()
+		for i, g := range loops {
+			ref, rerr := RunContext(context.Background(), g, m, opts)
+			if (rerr == nil) != (errs[i] == nil) {
+				t.Fatalf("%s loop %d: fresh err %v, shared err %v", sch, i, rerr, errs[i])
+			}
+			if rerr != nil {
+				continue
+			}
+			if err := diffOutcomes(ref, got[i]); err != nil {
+				t.Errorf("%s loop %d: fresh vs shared session: %v", sch, i, err)
+			}
 		}
 	}
 }

@@ -19,7 +19,7 @@ func IMS(in Input, budgetRatio int) (*Schedule, bool) {
 	lat := in.Machine.Latency
 	n := g.NumNodes()
 	if n == 0 {
-		return &Schedule{II: in.II, CycleOf: nil}, true
+		return &Schedule{II: in.II, CycleOf: []int{}}, true
 	}
 
 	s := in.Scratch

@@ -286,3 +286,14 @@ func TestLookupsMatchServedRequests(t *testing.T) {
 		t.Errorf("misses %d, entries %d; want %d of each", st.Misses, st.Entries, len(bodies))
 	}
 }
+
+// TestEmptyLoopListsAreEmpty: a loop with no operations schedules, and
+// its reply spells both per-node lists as empty arrays, never null.
+func TestEmptyLoopListsAreEmpty(t *testing.T) {
+	body := mustServe(t, server.New(server.Config{}), scheduleBody(t, server.ScheduleRequest{DDG: "loop x\nend\n", Machine: "gp:2:2:1"}), "miss")
+	for _, want := range []string{`"cluster_of":[]`, `"cycle_of":[]`} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("reply lacks %s: %s", want, body)
+		}
+	}
+}

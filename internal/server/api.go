@@ -140,15 +140,10 @@ type CompileResult struct {
 	Stats obs.Stats `json:"stats"`
 }
 
-// CompileItem is one loop's outcome inside a compile: either Result
-// (a raw CompileResult) or Error. Cached items are passed through
-// byte-identical to the run that produced them.
-type CompileItem struct {
-	Name   string          `json:"name"`
-	Cached bool            `json:"cached"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
+// CompileItem is one loop's outcome inside a compile: the BatchItem
+// shape, with Result a raw CompileResult. Cached items are passed
+// through byte-identical to the run that produced them.
+type CompileItem = BatchItem
 
 // CompileResponse reports every loop of a translation unit in input
 // order.

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"clustersched/internal/cache"
-	"clustersched/internal/cli"
 )
 
 // KeyForRequest resolves a schedule request exactly like the
@@ -23,27 +22,8 @@ import (
 // load-based placement for such requests and lets the worker produce
 // the authoritative error.
 func KeyForRequest(req ScheduleRequest) (string, error) {
-	if req.Machine == "" {
-		return "", errors.New("machine spec is required")
-	}
-	m, err := cli.ParseMachine(req.Machine)
+	m, _, optID, err := resolveOptions(req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)
 	if err != nil {
-		return "", err
-	}
-	// Validate the option spellings like resolveCommon, so an invalid
-	// variant is routed by load, not by a key the worker will reject.
-	variant := req.Variant
-	if variant == "" {
-		variant = "heuristic-iterative"
-	}
-	if _, err := cli.ParseVariant(variant); err != nil {
-		return "", err
-	}
-	scheduler := req.Scheduler
-	if scheduler == "" {
-		scheduler = "ims"
-	}
-	if _, err := cli.ParseScheduler(scheduler); err != nil {
 		return "", err
 	}
 	loops, err := parseLoops(req.DDG, req.Source)
@@ -53,8 +33,7 @@ func KeyForRequest(req ScheduleRequest) (string, error) {
 	if len(loops) != 1 {
 		return "", fmt.Errorf("schedule takes exactly one loop, got %d", len(loops))
 	}
-	id := append([]string{nameFor(req.Name, loops[0].Name)},
-		optionIdentity(req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)...)
+	id := append([]string{nameFor(req.Name, loops[0].Name)}, optID...)
 	return cache.Key(loops[0].Graph, m, id...), nil
 }
 

@@ -29,6 +29,8 @@ func FuzzScheduleBody(f *testing.F) {
 	// negative width, once panicked inside the pipeline.
 	f.Add(scheduleBody(f, server.ScheduleRequest{DDG: dotDDG, Machine: "gp:2:65:1"}))
 	f.Add(scheduleBody(f, server.ScheduleRequest{DDG: dotDDG, Machine: "unified:-1"}))
+	// An empty loop once answered "cycle_of":null beside "cluster_of":[].
+	f.Add(scheduleBody(f, server.ScheduleRequest{DDG: "loop x\nend\n", Machine: "gp:2:2:1"}))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv := server.New(server.Config{})

@@ -24,6 +24,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -128,14 +129,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // CacheStats exposes the result cache counters (also on /statsz).
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 
-// acquire admits a request into the bounded in-flight set, or reports
-// backpressure.
-func (s *Server) acquire() (release func(), ok bool) {
+// admit is the preamble of every scheduling route: POST only, counted
+// in requests, then admitted into the bounded in-flight set or refused
+// with 429 and Retry-After. When ok is false the reply is written;
+// otherwise the caller calls release when done.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		return nil, false
+	}
+	s.requests.Add(1)
 	select {
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, true
 	default:
 		s.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, errors.New("server at max in-flight requests"))
 		return nil, false
 	}
 }
@@ -221,8 +231,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return decodeJSON(body, v)
 }
 
-// scheduleJob is one resolved schedule request: the loop, the machine,
-// the facade options, and the cache identity.
+// scheduleJob is one resolved loop: the loop, the machine, the facade
+// options, and the cache identity.
 type scheduleJob struct {
 	name        string
 	machineSpec string
@@ -232,10 +242,13 @@ type scheduleJob struct {
 	key         string
 }
 
-// resolveCommon parses the machine spec and option names shared by
-// schedule and batch requests, returning the facade options and the
-// option part of the cache identity.
-func (s *Server) resolveCommon(machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, []clustersched.Option, []string, error) {
+// resolveOptions is the one resolver of the scheduling fields every
+// request shares: the machine spec, the option names with their
+// defaults, and the option part of the cache identity. It is pure (no
+// server configuration enters it), so KeyForRequest, which the
+// balancer's ring routing runs, and the handlers' cache lookup can
+// never disagree on a key.
+func resolveOptions(machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, []clustersched.Option, []string, error) {
 	if machineSpec == "" {
 		return nil, nil, nil, errors.New("machine spec is required")
 	}
@@ -243,28 +256,40 @@ func (s *Server) resolveCommon(machineSpec, variant, scheduler string, budget, s
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var opts []clustersched.Option
-	if variant == "" {
-		variant = "heuristic-iterative"
-	}
+	variant = cmp.Or(variant, "heuristic-iterative")
 	v, err := cli.ParseVariant(variant)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	opts = append(opts, clustersched.WithVariant(v))
-	if scheduler == "" {
-		scheduler = "ims"
-	}
+	scheduler = cmp.Or(scheduler, "ims")
 	sch, err := cli.ParseScheduler(scheduler)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	opts = append(opts, clustersched.WithScheduler(clustersched.Scheduler(sch)))
+	opts := []clustersched.Option{clustersched.WithVariant(v), clustersched.WithScheduler(clustersched.Scheduler(sch))}
 	if budget > 0 {
 		opts = append(opts, clustersched.WithBudget(budget))
 	}
 	if slack > 0 {
 		opts = append(opts, clustersched.WithMaxIISlack(slack))
+	}
+	// The cache identity covers everything that changes the response
+	// body.
+	return m, opts, []string{
+		strings.ToLower(variant),
+		strings.ToLower(scheduler),
+		fmt.Sprintf("budget=%d", budget),
+		fmt.Sprintf("slack=%d", slack),
+	}, nil
+}
+
+// resolveCommon is resolveOptions plus the server's own run options:
+// the per-request timeout and the shared observer, which change
+// neither a response body nor its cache identity.
+func (s *Server) resolveCommon(machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, []clustersched.Option, []string, error) {
+	m, opts, optID, err := resolveOptions(machineSpec, variant, scheduler, budget, slack)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if s.cfg.Timeout > 0 {
 		opts = append(opts, clustersched.WithTimeout(s.cfg.Timeout))
@@ -272,27 +297,32 @@ func (s *Server) resolveCommon(machineSpec, variant, scheduler string, budget, s
 	if s.cfg.Observer != nil {
 		opts = append(opts, clustersched.WithObserver(s.cfg.Observer))
 	}
-	// The cache identity must cover everything that changes the
-	// response body; the timeout and observer do not.
-	return m, opts, optionIdentity(variant, scheduler, budget, slack), nil
+	return m, opts, optID, nil
 }
 
-// optionIdentity is the option part of the cache identity. It is
-// shared with KeyForRequest so the balancer's ring routing and the
-// handler's cache lookup can never disagree on a key.
-func optionIdentity(variant, scheduler string, budget, slack int) []string {
-	if variant == "" {
-		variant = "heuristic-iterative"
+// loopRequest is a scheduling request resolved on the handler path.
+type loopRequest struct {
+	machine *clustersched.Machine
+	options []clustersched.Option
+	optID   []string
+	loops   []ddgio.NamedGraph
+}
+
+// resolveRequest resolves a request's shared fields (resolveCommon)
+// and then its loops. On failure it writes the error reply, 400 for a
+// field and 422 for the loop payload, and returns false.
+func (s *Server) resolveRequest(w http.ResponseWriter, machineSpec, variant, scheduler string, budget, slack int, ddgText, source string) (*loopRequest, bool) {
+	m, opts, optID, err := s.resolveCommon(machineSpec, variant, scheduler, budget, slack)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
 	}
-	if scheduler == "" {
-		scheduler = "ims"
+	loops, err := parseLoops(ddgText, source)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return nil, false
 	}
-	return []string{
-		strings.ToLower(variant),
-		strings.ToLower(scheduler),
-		fmt.Sprintf("budget=%d", budget),
-		fmt.Sprintf("slack=%d", slack),
-	}
+	return &loopRequest{machine: m, options: opts, optID: optID, loops: loops}, true
 }
 
 // nameFor resolves the response (and cache-identity) name of a loop:
@@ -337,17 +367,17 @@ func parseLoops(ddgText, source string) ([]ddgio.NamedGraph, error) {
 	}
 }
 
-// buildJob resolves one loop into a runnable, cacheable job.
-func (s *Server) buildJob(name, machineSpec string, loop ddgio.NamedGraph, m *clustersched.Machine, opts []clustersched.Option, optID []string) scheduleJob {
+// buildJob resolves one loop into a runnable, cacheable job whose
+// cache identity is its name followed by id.
+func (s *Server) buildJob(name, machineSpec string, loop ddgio.NamedGraph, m *clustersched.Machine, opts []clustersched.Option, id []string) scheduleJob {
 	name = nameFor(name, loop.Name)
-	id := append([]string{name}, optID...)
 	return scheduleJob{
 		name:        name,
 		machineSpec: machineSpec,
 		graph:       loop.Graph,
 		machine:     m,
 		options:     opts,
-		key:         cache.Key(loop.Graph, m, id...),
+		key:         cache.Key(loop.Graph, m, append([]string{name}, id...)...),
 	}
 }
 
@@ -374,68 +404,50 @@ func ResponseFor(name, machineSpec string, res *clustersched.Result) ScheduleRes
 	}
 }
 
-// scheduleFunc runs one loop through the pipeline. The single-shot
-// handler uses the facade directly; the batch handler substitutes a
-// session free-list so per-machine precomputation is shared across the
-// request's loops.
-type scheduleFunc func(ctx context.Context, g *clustersched.Graph) (*clustersched.Result, error)
+// scheduleBody is a schedule job's cache miss: it runs the full
+// pipeline on sess under ctx (so a dead client connection aborts the
+// II search), audits the schedule, and encodes the response.
+func (s *Server) scheduleBody(ctx context.Context, sess *clustersched.Session, job scheduleJob) ([]byte, error) {
+	res, err := sess.Schedule(ctx, job.graph)
+	if err != nil {
+		return nil, err
+	}
+	s.scheduled.Add(1)
+	s.addSchedStats(res.Stats())
+	return json.Marshal(ResponseFor(job.name, job.machineSpec, res))
+}
 
-// runJob serves one job through the cache: on a miss it runs the full
-// pipeline under ctx (so a dead client connection aborts the II
-// search), audits the schedule, and stores the encoded response.
-func (s *Server) runJob(ctx context.Context, job scheduleJob, schedule scheduleFunc) ([]byte, cache.Source, error) {
-	return s.cache.GetOrCompute(ctx, job.key, func(ctx context.Context) ([]byte, error) {
-		res, err := schedule(ctx, job.graph)
+// fanOut serves every loop of a multi-loop request through the result
+// cache over the daemon's worker pool: loop i is a job with cache
+// identity id, and compute produces its body on a miss. Items come
+// back in input order with the counts of cache-served and failed
+// items; err is set when ctx ended the request early.
+func (s *Server) fanOut(ctx context.Context, machineSpec string, rq *loopRequest, id []string, compute func(context.Context, scheduleJob) ([]byte, error)) (items []BatchItem, hits, failed int, err error) {
+	items = make([]BatchItem, len(rq.loops))
+	var nHits, nFailed atomic.Int64
+	err = pool.ForEach(ctx, len(rq.loops), s.cfg.Workers, func(i int) {
+		job := s.buildJob("", machineSpec, rq.loops[i], rq.machine, rq.options, id)
+		items[i].Name = job.name
+		body, src, err := s.cache.GetOrCompute(ctx, job.key, func(ctx context.Context) ([]byte, error) {
+			return compute(ctx, job)
+		})
 		if err != nil {
-			return nil, err
+			items[i].Error = err.Error()
+			nFailed.Add(1)
+			return
 		}
-		s.scheduled.Add(1)
-		s.addSchedStats(res.Stats())
-		return json.Marshal(ResponseFor(job.name, job.machineSpec, res))
+		items[i].Result = json.RawMessage(body)
+		if src != cache.Miss {
+			items[i].Cached = true
+			nHits.Add(1)
+		}
 	})
-}
-
-// sessionPool is a bounded free list of facade sessions for one batch
-// request's (machine, options) pair: at most `workers` sessions exist,
-// each used by one goroutine at a time.
-type sessionPool struct {
-	m       *clustersched.Machine
-	options []clustersched.Option
-	free    chan *clustersched.Session
-}
-
-func newSessionPool(m *clustersched.Machine, options []clustersched.Option, workers int) *sessionPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &sessionPool{m: m, options: options, free: make(chan *clustersched.Session, workers)}
-}
-
-func (p *sessionPool) schedule(ctx context.Context, g *clustersched.Graph) (*clustersched.Result, error) {
-	var sess *clustersched.Session
-	select {
-	case sess = <-p.free:
-	default:
-		sess = clustersched.NewSession(p.m, p.options...)
-	}
-	res, err := sess.Schedule(ctx, g)
-	select {
-	case p.free <- sess:
-	default:
-	}
-	return res, err
+	return items, int(nHits.Load()), int(nFailed.Load()), err
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	s.requests.Add(1)
-	release, ok := s.acquire()
+	release, ok := s.admit(w, r)
 	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, errors.New("server at max in-flight requests"))
 		return
 	}
 	defer release()
@@ -460,24 +472,20 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	m, opts, optID, err := s.resolveCommon(req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	rq, ok := s.resolveRequest(w, req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack, req.DDG, req.Source)
+	if !ok {
 		return
 	}
-	loops, err := parseLoops(req.DDG, req.Source)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if len(loops) != 1 {
+	if len(rq.loops) != 1 {
 		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("schedule takes exactly one loop, got %d (use /v1/batch)", len(loops)))
+			fmt.Errorf("schedule takes exactly one loop, got %d (use /v1/batch)", len(rq.loops)))
 		return
 	}
-	job := s.buildJob(req.Name, req.Machine, loops[0], m, opts, optID)
-	body, src, err := s.runJob(r.Context(), job, func(ctx context.Context, g *clustersched.Graph) (*clustersched.Result, error) {
-		return clustersched.ScheduleContext(ctx, g, job.machine, job.options...)
+	job := s.buildJob(req.Name, req.Machine, rq.loops[0], rq.machine, rq.options, rq.optID)
+	// The session is built on a miss only: hits and coalesced requests
+	// never pay for it.
+	body, src, err := s.cache.GetOrCompute(r.Context(), job.key, func(ctx context.Context) ([]byte, error) {
+		return s.scheduleBody(ctx, clustersched.NewSession(job.machine, job.options...), job)
 	})
 	if err != nil {
 		writeError(w, scheduleErrorStatus(err), err)
@@ -498,16 +506,11 @@ func writeSchedule(w http.ResponseWriter, src cache.Source, body []byte) {
 	w.Write(body)
 }
 
+// handleBatch schedules every loop of the request through one facade
+// Session shared by the fan-out's workers, built at the first miss.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	s.requests.Add(1)
-	release, ok := s.acquire()
+	release, ok := s.admit(w, r)
 	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, errors.New("server at max in-flight requests"))
 		return
 	}
 	defer release()
@@ -517,60 +520,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	m, opts, optID, err := s.resolveCommon(req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	rq, ok := s.resolveRequest(w, req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack, req.DDG, req.Source)
+	if !ok {
 		return
 	}
-	loops, err := parseLoops(req.DDG, req.Source)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-
-	items := make([]BatchItem, len(loops))
-	var hits atomic.Int64
-	ctx := r.Context()
-	sessions := newSessionPool(m, opts, s.cfg.Workers)
-	perr := pool.ForEach(ctx, len(loops), s.cfg.Workers, func(i int) {
-		job := s.buildJob("", req.Machine, loops[i], m, opts, optID)
-		items[i].Name = job.name
-		body, src, err := s.runJob(ctx, job, sessions.schedule)
-		if err != nil {
-			items[i].Error = err.Error()
-			return
-		}
-		items[i].Result = json.RawMessage(body)
-		if src != cache.Miss {
-			items[i].Cached = true
-			hits.Add(1)
-		}
+	sess := sync.OnceValue(func() *clustersched.Session { return clustersched.NewSession(rq.machine, rq.options...) })
+	items, hits, _, err := s.fanOut(r.Context(), req.Machine, rq, rq.optID, func(ctx context.Context, job scheduleJob) ([]byte, error) {
+		return s.scheduleBody(ctx, sess(), job)
 	})
-	if perr != nil {
-		writeError(w, scheduleErrorStatus(perr), perr)
+	if err != nil {
+		writeError(w, scheduleErrorStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Items: items, CacheHits: int(hits.Load())})
+	writeJSON(w, http.StatusOK, BatchResponse{Items: items, CacheHits: hits})
 }
 
 // handleCompile is the whole-translation-unit endpoint: every loop is
 // fully compiled — schedule, optional stage scheduling, register
-// allocation, emission, optional sim validation — through one
-// compile.Executor whose session pool is shared across the request's
-// loops. The result cache works at per-loop granularity: a loop
-// compiled under the same machine, options, and compile flags is
-// served byte-identical from the store no matter which translation
-// unit asked first.
+// allocation, emission, optional sim cross-validation — through one
+// compile.Executor, built at the first miss, whose Session is shared
+// across the request's loops. The result cache works at per-loop
+// granularity: a loop compiled under the same machine, options, and
+// compile flags is served byte-identical from the store no matter
+// which translation unit asked first.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	s.requests.Add(1)
-	release, ok := s.acquire()
+	release, ok := s.admit(w, r)
 	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, errors.New("server at max in-flight requests"))
 		return
 	}
 	defer release()
@@ -580,89 +555,67 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	m, opts, optID, err := s.resolveCommon(req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	loops, err := parseLoops(req.DDG, req.Source)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+	rq, ok := s.resolveRequest(w, req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack, req.DDG, req.Source)
+	if !ok {
 		return
 	}
 
-	// The facade options are pipeline.Options mutators; apply them over
-	// the facade's own defaults so the compile path schedules exactly
-	// like /v1/schedule under the same request fields.
-	popts := pipeline.Options{
-		Assign:       assign.Options{Variant: assign.HeuristicIterative},
-		CollectStats: true,
-	}
-	for _, o := range opts {
-		o(&popts)
-	}
-	ex := compile.NewExecutor(m, compile.Options{
-		Pipeline:   popts,
-		Workers:    s.cfg.Workers,
-		StageSched: req.StageSched,
-		Pipelined:  req.Pipelined,
-		Validate:   req.Validate,
+	ex := sync.OnceValue(func() *compile.Executor {
+		// The facade options are pipeline.Options mutators; apply them
+		// over the facade's own defaults so the compile path schedules
+		// exactly like /v1/schedule under the same request fields.
+		popts := pipeline.Options{
+			Assign:       assign.Options{Variant: assign.HeuristicIterative},
+			CollectStats: true,
+		}
+		for _, o := range rq.options {
+			o(&popts)
+		}
+		return compile.NewExecutor(rq.machine, compile.Options{
+			Pipeline:   popts,
+			Workers:    s.cfg.Workers,
+			StageSched: req.StageSched,
+			Pipelined:  req.Pipelined,
+			Validate:   req.Validate,
+		})
 	})
 	// The compile flags change the body, so they join the cache
 	// identity alongside the scheduling options.
 	compileID := append([]string{"compile",
 		fmt.Sprintf("stagesched=%v", req.StageSched),
 		fmt.Sprintf("pipelined=%v", req.Pipelined),
-		fmt.Sprintf("validate=%v", req.Validate)}, optID...)
+		fmt.Sprintf("validate=%v", req.Validate)}, rq.optID...)
 
-	items := make([]CompileItem, len(loops))
-	var hits, failed atomic.Int64
-	ctx := r.Context()
-	perr := pool.ForEach(ctx, len(loops), s.cfg.Workers, func(i int) {
-		name := nameFor("", loops[i].Name)
-		items[i].Name = name
-		key := cache.Key(loops[i].Graph, m, append([]string{name}, compileID...)...)
-		body, src, err := s.cache.GetOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
-			lr := ex.One(ctx, frontend.Loop{Name: name, Graph: loops[i].Graph})
-			if lr.Err != nil {
-				return nil, lr.Err
-			}
-			s.scheduled.Add(1)
-			s.addSchedStats(lr.Outcome.Stats)
-			return json.Marshal(CompileResult{
-				Name:           name,
-				Machine:        req.Machine,
-				II:             lr.Outcome.II,
-				MII:            lr.Outcome.MII,
-				Copies:         lr.Outcome.Assignment.Copies,
-				Stages:         lr.Outcome.Schedule.StageCount(),
-				Moved:          lr.Moved,
-				Factor:         lr.Alloc.Factor,
-				RegsPerCluster: lr.Alloc.RegsPerCluster,
-				Kernel:         lr.Text,
-				Stats:          lr.Outcome.Stats,
-			})
+	items, hits, failed, err := s.fanOut(r.Context(), req.Machine, rq, compileID, func(ctx context.Context, job scheduleJob) ([]byte, error) {
+		lr := ex().One(ctx, frontend.Loop{Name: job.name, Graph: job.graph})
+		if lr.Err != nil {
+			return nil, lr.Err
+		}
+		s.scheduled.Add(1)
+		s.addSchedStats(lr.Outcome.Stats)
+		return json.Marshal(CompileResult{
+			Name:           job.name,
+			Machine:        job.machineSpec,
+			II:             lr.Outcome.II,
+			MII:            lr.Outcome.MII,
+			Copies:         lr.Outcome.Assignment.Copies,
+			Stages:         lr.Outcome.Schedule.StageCount(),
+			Moved:          lr.Moved,
+			Factor:         lr.Alloc.Factor,
+			RegsPerCluster: lr.Alloc.RegsPerCluster,
+			Kernel:         lr.Text,
+			Stats:          lr.Outcome.Stats,
 		})
-		if err != nil {
-			items[i].Error = err.Error()
-			failed.Add(1)
-			return
-		}
-		items[i].Result = json.RawMessage(body)
-		if src != cache.Miss {
-			items[i].Cached = true
-			hits.Add(1)
-		}
 	})
-	if perr != nil {
-		writeError(w, scheduleErrorStatus(perr), perr)
+	if err != nil {
+		writeError(w, scheduleErrorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, CompileResponse{
 		Items:     items,
-		Scheduled: len(items) - int(failed.Load()),
-		Failed:    int(failed.Load()),
-		CacheHits: int(hits.Load()),
+		Scheduled: len(items) - failed,
+		Failed:    failed,
+		CacheHits: hits,
 	})
 }
 
@@ -683,7 +636,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	}
 	diags := []diag.Diagnostic{}
 	if req.Source != "" {
-		diags = append(diags, lintSource("<source>", req.Source)...)
+		diags = append(diags, lint.Program("<source>", req.Source)...)
 	}
 	if req.DDG != "" {
 		loops, err := ddgio.ReadLax(strings.NewReader(req.DDG))
@@ -692,15 +645,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for _, l := range loops {
-			for _, d := range lint.Graph(l.Graph) {
-				d.File = "<ddg>"
-				if d.Subject == "" {
-					d.Subject = "loop " + l.Name
-				} else {
-					d.Subject = "loop " + l.Name + ", " + d.Subject
-				}
-				diags = append(diags, d)
-			}
+			diags = append(diags, lint.Loop("<ddg>", l.Name, l.Graph)...)
 		}
 	}
 	if req.Machine != "" {
@@ -714,34 +659,6 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, LintResponse{Diagnostics: diags, Errors: diag.CountErrors(diags)})
-}
-
-// lintSource mirrors clusterlint's loop-source pass: the AST lint
-// first, then the graph lint over every loop that compiles.
-func lintSource(path, src string) []diag.Diagnostic {
-	diags := lint.Source(path, src)
-	if diag.CountErrors(diags) > 0 {
-		return diags
-	}
-	loops, err := frontend.Compile(src)
-	if err != nil {
-		return append(diags, diag.Diagnostic{
-			Code: lint.CodeParseError, Severity: diag.Error,
-			File: path, Message: err.Error(),
-		})
-	}
-	for _, l := range loops {
-		for _, d := range lint.Graph(l.Graph) {
-			d.File = path
-			if d.Subject == "" {
-				d.Subject = "loop " + l.Name
-			} else {
-				d.Subject = "loop " + l.Name + ", " + d.Subject
-			}
-			diags = append(diags, d)
-		}
-	}
-	return diags
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

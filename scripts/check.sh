@@ -17,11 +17,16 @@ go test ./...
 go run ./cmd/schedvet ./...
 # Race pass over every package that runs goroutines or shares state
 # between them (worker pools, shared observers, the daemon and its
-# cache, batch sharding, the whole-loop compile workers, the balancer's
-# hedges and ring, the membership table, and the sync-guarded caches of
-# mrt, machine and ddg) plus the public API that feeds them, and the
-# assignment engine's differential/fuzz-seed tests.
+# cache, scheduling sessions shared across goroutines by batch
+# sharding, the whole-loop compile workers and the daemon's batch
+# fan-out, the balancer's hedges and ring, the membership table, and
+# the sync-guarded caches of mrt, machine and ddg) plus the public API
+# that feeds them, and the assignment engine's differential/fuzz-seed
+# tests.
 go test -race ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ ./internal/balance/ ./internal/membership/ ./internal/mrt/ ./internal/machine/ ./internal/ddg/ .
+# Service-boundary fuzzing beyond the seeds: /v1/schedule must answer
+# every body with an audited schedule or a coded 4xx, never a panic.
+go test -run xxx -fuzz FuzzScheduleBody -fuzztime 10s -parallel 1 ./internal/server/
 # Compile-corpus oracle: every kernel the streaming executor emits for
 # the regression corpus must execute functionally identical to the
 # naive non-pipelined loop (sim cross-validation plus the Livermore
